@@ -69,11 +69,12 @@ class Tensor:
     data: bytes
 
     def __post_init__(self) -> None:
-        if len(self.shape) > MAX_RANK:
-            raise ValueError(f"rank {len(self.shape)} exceeds maximum {MAX_RANK}")
-        if any(d < 0 for d in self.shape):
-            raise ValueError(f"negative extent in shape {self.shape}")
-        expected = math.prod(self.shape) * self.dtype.width
+        shape = self.shape
+        if len(shape) > MAX_RANK:
+            raise ValueError(f"rank {len(shape)} exceeds maximum {MAX_RANK}")
+        if shape and min(shape) < 0:
+            raise ValueError(f"negative extent in shape {shape}")
+        expected = math.prod(shape) * _WIDTHS[self.dtype]
         if len(self.data) != expected:
             raise ValueError(
                 f"payload is {len(self.data)} bytes, shape {self.shape} of "

@@ -1,10 +1,13 @@
 """Online execution engine.
 
 One run = one strategy executed for a number of epochs against a backend.
-Reader threads stream the stored form (raw sample files for split 0,
-container shards otherwise) and emit framed payloads; worker threads
-deserialize and apply the online step suffix; a terminal sink counts,
-optionally shuffles, and digests what a training loop would have consumed.
+One reader thread per stream reads the stored form (raw sample files for
+split 0 of a many-small-files source, container shards otherwise) and hands
+the merger batches of records: everything framed from one read of a shard,
+or up to a batch of raw files.  Worker threads take single records from the
+merger, deserialize them and apply the online step suffix; a terminal sink
+counts, optionally shuffles, and digests what a training loop would have
+consumed.
 
 Order contract: streams are built so that interleaving them round-robin by
 stream index reproduces the original sample order, matching how containers
@@ -15,8 +18,10 @@ is racy but the delivered multiset is unchanged, which the digests reflect.
 
 from __future__ import annotations
 
+import collections
 import enum
 import hashlib
+import io
 import logging
 import queue
 import random
@@ -31,31 +36,39 @@ from .core import (
     Compression,
     ExecMode,
     Pipeline,
-    StepSpec,
     Strategy,
     Tensor,
     validate_strategy,
 )
-from .recordio import decode_tensor, encode_tensor, frames_from_bytes, verify_payload
+from .recordio import decode_tensor, encode_tensor, iter_frames, verify_payload
 from .storage import IoSnapshot, StorageBackend
-from .steps import execute_step
+from .steps import calibration_units_per_second, execute_step
 from . import workloads
 
 log = logging.getLogger(__name__)
 
-_QUEUE_DEPTH = 8  # per-stream prefetch ceiling, in records
+_QUEUE_DEPTH = 2  # per-stream prefetch ceiling, in batches
 _PREFETCH_BYTES = 16_000_000  # in-flight byte budget across all streams
+_BATCH_RECORDS = 16  # most records a reader gathers before a handoff
+_BATCH_BYTES = 1 << 16  # ... and most bytes, unless one record is larger
 
 
-def _queue_depth(record_bytes: float, n_streams: int) -> int:
-    """Records to prefetch per stream.  Small records get the full window;
-    multi-MB records are held to roughly the byte budget so in-flight data
-    does not balloon (one per stream is always allowed)."""
+def _batch_records(record_bytes: float) -> int:
+    """Records a reader gathers per handoff: up to _BATCH_RECORDS, held to
+    _BATCH_BYTES for larger records (one record is always allowed)."""
     if record_bytes <= 0:
+        return _BATCH_RECORDS
+    return max(1, min(_BATCH_RECORDS, int(_BATCH_BYTES // record_bytes)))
+
+
+def _queue_depth(batch_bytes: float, n_streams: int) -> int:
+    """Batches to prefetch per stream.  Small batches get the full window;
+    multi-MB ones are held to roughly the byte budget so in-flight data does
+    not balloon (one per stream is always allowed)."""
+    if batch_bytes <= 0:
         return _QUEUE_DEPTH
-    fit = int(_PREFETCH_BYTES / (record_bytes * max(n_streams, 1)))
+    fit = int(_PREFETCH_BYTES / (batch_bytes * max(n_streams, 1)))
     return max(1, min(_QUEUE_DEPTH, fit))
-_READ_CHUNK = 1 << 16
 
 
 class EngineError(RuntimeError):
@@ -100,6 +113,8 @@ class EpochStats:
     io: IoSnapshot  # deltas for this epoch only
     cache: CacheOutcome
     multiset_digest: str | None = None
+    # ordered digest: only when one worker delivers, since with several
+    # the delivery order is a race
     sequence_digest: str | None = None
 
 
@@ -159,38 +174,36 @@ class _ShuffleSink:
 
 
 class _Accumulator:
-    """Terminal consumer: counts samples and keeps order-free and ordered
-    digests of the delivered tensors."""
+    """Terminal consumer: counts samples and keeps an order-free digest of
+    the delivered tensors and, when `ordered`, an ordered one too.  Several
+    accumulators fed disjoint parts of an epoch merge into one."""
 
-    def __init__(self, collect_digests: bool) -> None:
+    def __init__(self, collect_digests: bool, ordered: bool) -> None:
         self.count = 0
         self._collect = collect_digests
-        self._xor = bytearray(32)
-        self._seq = hashlib.sha256() if collect_digests else None
+        self._xor = 0
+        self._seq = hashlib.sha256() if collect_digests and ordered else None
 
     def __call__(self, tensor: Tensor) -> None:
         self.count += 1
         if not self._collect:
             return
         h = hashlib.sha256(encode_tensor(tensor)).digest()
-        for i in range(32):
-            self._xor[i] ^= h[i]
-        self._seq.update(h)
+        self._xor ^= int.from_bytes(h, "big")
+        if self._seq is not None:
+            self._seq.update(h)
+
+    def merge(self, other: "_Accumulator") -> None:
+        self.count += other.count
+        self._xor ^= other._xor
 
     @property
     def multiset_digest(self) -> str | None:
-        return bytes(self._xor).hex() if self._collect else None
+        return self._xor.to_bytes(32, "big").hex() if self._collect else None
 
     @property
     def sequence_digest(self) -> str | None:
-        return self._seq.hexdigest() if self._collect else None
-
-
-@dataclass
-class _Item:
-    seq: int  # position in the original sample order
-    value: bytes | Tensor
-    crc: int | None = None  # set for container record payloads
+        return self._seq.hexdigest() if self._seq is not None else None
 
 
 class _StopPipeline(Exception):
@@ -198,26 +211,33 @@ class _StopPipeline(Exception):
 
 
 class _Merger:
-    """Round-robin merge of per-stream queues, restoring global order.
+    """Round-robin merge of per-stream queues of record batches, restoring
+    global order.
 
-    Streams put _Item or an end sentinel; workers call next_item().  A
-    sample_limit makes next_item() report exhaustion early and flips the
-    stop event so readers bail out.
+    Readers put lists of (value, crc) records or an end sentinel; workers
+    call next_item() for one (seq, value, crc) at a time.  Each stream's
+    batches are unpacked into a local deque, so the merger waits on a
+    stream's queue once per batch.  The seq of a stream's r-th record is
+    r * n_streams + stream index.  A sample_limit makes next_item() report
+    exhaustion early and flips the stop event so readers bail out.
     """
 
     _END = object()
 
     def __init__(self, queues: Sequence[queue.Queue], limit: int | None, stop: threading.Event):
         self._queues = queues
+        self._n = len(queues)
         self._limit = limit
         self._stop = stop
         self._lock = threading.Lock()
         self._cursor = 0
-        self._live = [True] * len(queues)
-        self._live_count = len(queues)
+        self._local = [collections.deque() for _ in queues]
+        self._records = [0] * self._n  # records taken so far, per stream
+        self._live = [True] * self._n
+        self._live_count = self._n
         self._taken = 0
 
-    def next_item(self) -> _Item | None:
+    def next_item(self) -> tuple[int, object, int | None] | None:
         with self._lock:
             while True:
                 if self._live_count == 0 or (
@@ -226,16 +246,22 @@ class _Merger:
                     self._stop.set()
                     return None
                 i = self._cursor
-                self._cursor = (self._cursor + 1) % len(self._queues)
-                if not self._live[i]:
-                    continue
-                got = self._queues[i].get()
-                if got is self._END:
-                    self._live[i] = False
-                    self._live_count -= 1
-                    continue
+                self._cursor = i + 1 if i + 1 < self._n else 0
+                local = self._local[i]
+                if not local:
+                    if not self._live[i]:
+                        continue
+                    got = self._queues[i].get()
+                    if got is self._END:
+                        self._live[i] = False
+                        self._live_count -= 1
+                        continue
+                    local.extend(got)
+                value, crc = local.popleft()
+                r = self._records[i]
+                self._records[i] = r + 1
                 self._taken += 1
-                return got
+                return r * self._n + i, value, crc
 
     @classmethod
     def end_sentinel(cls):
@@ -312,10 +338,10 @@ class _SampleCache:
     def ready(self) -> bool:
         return self.by_seq is not None and not self.overflowed
 
-    def streams_for(self, n_streams: int) -> list[list[_Item]]:
+    def streams_for(self, n_streams: int) -> list[list[tuple[Tensor, None]]]:
         out = [[] for _ in range(n_streams)]
         for seq in sorted(self.by_seq):
-            out[seq % n_streams].append(_Item(seq, self.by_seq[seq]))
+            out[seq % n_streams].append((self.by_seq[seq], None))
         return out
 
 
@@ -335,104 +361,51 @@ class _Trace:
             self._fh.close()
 
 
-def _reader_memory(items: Sequence[_Item], q: queue.Queue, stop: threading.Event) -> None:
-    for item in items:
-        _put_until(q, item, stop)
-
-
-def _reader_serialized(
-    blobs: Sequence[bytes],
-    kind: str,
-    seqs_or_base,
-    n_streams: int,
-    q: queue.Queue,
-    stop: threading.Event,
-    compression: Compression,
-) -> None:
-    """Replay raw cached bytes through the same parse path as storage."""
-    if kind == "raw":
-        for seq, blob in zip(seqs_or_base, blobs):
-            _put_until(q, _Item(seq, blob), stop)
-        return
-    stream_idx = seqs_or_base
-    for r, (payload, crc) in enumerate(frames_from_bytes(blobs[0], compression, "cache")):
-        _put_until(q, _Item(r * n_streams + stream_idx, payload, crc), stop)
-
-
-def _read_file_bytes(backend: StorageBackend, path: Path, tee: list | None) -> bytes:
-    parts = []
+def _read_file_bytes(backend: StorageBackend, path: Path) -> bytes:
     with backend.open_read(path) as fh:
-        while True:
-            chunk = fh.read(_READ_CHUNK)
-            if not chunk:
-                break
-            parts.append(chunk)
-    blob = b"".join(parts)
-    if tee is not None:
-        tee.append(blob)
-    return blob
+        return fh.read()
 
 
-def _reader_raw_files(
+def _file_batches(
     backend: StorageBackend,
-    paths: Sequence[tuple[int, Path]],
-    q: queue.Queue,
-    stop: threading.Event,
+    paths: Sequence[Path],
     cache: _SerializedCache | None,
     stream_idx: int,
-) -> None:
-    for seq, path in paths:
-        if stop.is_set():
-            raise _StopPipeline
-        blob = _read_file_bytes(backend, path, None)
+) -> Iterator[list[tuple[bytes, None]]]:
+    """One raw sample file per record."""
+    for path in paths:
+        blob = _read_file_bytes(backend, path)
         if cache is not None:
             cache.add(stream_idx, blob)
-        _put_until(q, _Item(seq, blob), stop)
+        yield [(blob, None)]
 
 
-class _ShardFile:
-    """File-like over a backend handle that optionally tees raw bytes."""
+class _Tee:
+    """File-like over a backend handle that keeps every chunk it reads."""
 
-    def __init__(self, fh, cache: _SerializedCache | None, stream_idx: int, stop: threading.Event):
+    def __init__(self, fh) -> None:
         self._fh = fh
-        self._cache = cache
-        self._idx = stream_idx
-        self._stop = stop
-        self._parts = [] if cache is not None else None
+        self.parts: list[bytes] = []
 
     def read(self, n: int) -> bytes:
-        if self._stop.is_set():
-            raise _StopPipeline
         chunk = self._fh.read(n)
-        if self._parts is not None and chunk:
-            self._parts.append(chunk)
+        self.parts.append(chunk)
         return chunk
 
-    def finish(self) -> None:
-        if self._cache is not None:
-            self._cache.add(self._idx, b"".join(self._parts))
 
-
-def _reader_shard(
+def _shard_batches(
     backend: StorageBackend,
     path: Path,
-    stream_idx: int,
-    n_streams: int,
-    compression: Compression,
-    q: queue.Queue,
-    stop: threading.Event,
+    compression: Compression | None,
     cache: _SerializedCache | None,
-) -> None:
-    from .recordio import _RecordStream, _iter_frames, _read_header  # framing internals
-
+    stream_idx: int,
+) -> Iterator[list[tuple[bytes, int]]]:
+    """The records of one container shard, as framed per read."""
     with backend.open_read(path) as raw:
-        fh = _ShardFile(raw, cache, stream_idx, stop)
-        stored = _read_header(fh, path)
-        if stored is not compression:
-            raise EngineError(f"{path}: expected {compression.value}, found {stored.value}")
-        for r, (_, payload, crc) in enumerate(_iter_frames(_RecordStream(fh, stored), path)):
-            _put_until(q, _Item(r * n_streams + stream_idx, payload, crc), stop)
-        fh.finish()
+        fh = _Tee(raw) if cache is not None else raw
+        yield from iter_frames(fh, path, compression)
+    if cache is not None:
+        cache.add(stream_idx, b"".join(fh.parts))
 
 
 def _mix_seed(seed: int, epoch: int, seq: int, step_idx: int) -> int:
@@ -450,40 +423,52 @@ def run_online(
     """Execute the online phase of a strategy for config.epochs epochs."""
     validate_strategy(strategy, pipeline)
     m = strategy.split_index
+    source = pipeline.source
+    if m >= 1 and materialized is None:
+        raise MaterializationMissingError(
+            f"strategy {strategy.id} needs its offline prefix materialized first"
+        )
+    # framed streams read container shards, one stream per shard: the
+    # materialized ones, or the source's own when it is stored packed
+    framed = m >= 1 or source.layout is workloads.Layout.CONTAINERS
     if m >= 1:
-        if materialized is None:
-            raise MaterializationMissingError(
-                f"strategy {strategy.id} needs its offline prefix materialized first"
-            )
         shard_list = list(materialized.paths)
+        compression = materialized.compression
+        record_bytes = materialized.bytes / max(materialized.sample_count, 1)
+    else:
+        files = workloads.source_paths(source)
+        shard_list = files
+        compression = None  # whatever the source shards' headers say
+        record_bytes = float(source.bytes_per_sample)
+    if framed:
         n_streams = len(shard_list)
     else:
-        source = pipeline.source
-        files = workloads.source_paths(source)
         if config.sample_limit is None:
             total = len(files)
         else:
             total = min(len(files), config.sample_limit)
         n_streams = min(strategy.parallelism, max(total, 1))
+    batch_records = _batch_records(record_bytes)
+    depth = _queue_depth(batch_records * record_bytes, n_streams)
 
-    if m >= 1:
-        record_bytes = materialized.bytes / max(materialized.sample_count, 1)
-    else:
-        record_bytes = float(pipeline.source.bytes_per_sample)
-    depth = _queue_depth(record_bytes, n_streams)
-
-    online_steps: list[tuple[int, StepSpec]] = [
-        (i, step) for i, step in enumerate(pipeline.steps) if i >= max(m, 1)
+    online_steps = [
+        (i, step, step.exec_mode is ExecMode.EXCLUSIVE, step.deterministic)
+        for i, step in enumerate(pipeline.steps)
+        if i >= max(m, 1)
     ]
+    if any(step.compute_cost > 0 for _, step, _, _ in online_steps):
+        calibration_units_per_second()  # measured now, not inside the first epoch
     gate = threading.Lock()
     trace = _Trace(config.trace_path)
+    tracing = config.trace_path is not None
+    n_workers = strategy.parallelism
 
     ser_cache: _SerializedCache | None = None
     smp_cache: _SampleCache | None = None
     if strategy.cache_mode is not CacheMode.NO_CACHE:
         # projection uses the stored footprint; the sample cache holds the
         # deserialized twin of the same bytes plus bookkeeping
-        projected = materialized.bytes if m >= 1 else pipeline.source.total_bytes
+        projected = materialized.bytes if m >= 1 else source.total_bytes
         if config.sample_limit is not None:
             log.warning("cache disabled: sample_limit would populate a partial cache")
         elif projected > config.memory_budget:
@@ -496,6 +481,18 @@ def run_online(
             ser_cache = _SerializedCache(config.memory_budget)
         else:
             smp_cache = _SampleCache(config.memory_budget)
+
+    def verify_and_decode(value: bytes, crc: int) -> Tensor:
+        verify_payload(value, crc)
+        return decode_tensor(value)
+
+    source_dtype = source.dtype
+
+    def wrap_raw(value: bytes, crc: None) -> Tensor:
+        return Tensor(source_dtype, (len(value) // source_dtype.width,), value)
+
+    def as_is(value: Tensor, crc: None) -> Tensor:
+        return value
 
     stats: list[EpochStats] = []
     try:
@@ -513,128 +510,144 @@ def run_online(
             stop = threading.Event()
             queues = [queue.Queue(maxsize=depth) for _ in range(n_streams)]
             merger = _Merger(queues, config.sample_limit, stop)
-            readers: list[threading.Thread] = []
             errors: list[BaseException] = []
-            smp_streams = smp_cache.streams_for(n_streams) if serving_smp else None
 
-            def reader_main(idx: int, fn: Callable) -> None:
+            if serving_smp:
+                load = as_is
+                sources = [[batch] for batch in smp_cache.streams_for(n_streams)]
+            elif serving_ser and framed:
+                load = verify_and_decode
+                sources = [
+                    iter_frames(io.BytesIO(blobs[0]), "cache", compression)
+                    for blobs in ser_cache.streams
+                ]
+            elif serving_ser:
+                load = wrap_raw
+                sources = [[[(b, None) for b in blobs]] for blobs in ser_cache.streams]
+            elif framed:
+                load = verify_and_decode
+                tee = ser_cache if populate_ser else None
+                sources = [
+                    _shard_batches(backend, path, compression, tee, idx)
+                    for idx, path in enumerate(shard_list)
+                ]
+            else:
+                load = wrap_raw
+                tee = ser_cache if populate_ser else None
+                sources = [
+                    _file_batches(backend, files[idx:total:n_streams], tee, idx)
+                    for idx in range(n_streams)
+                ]
+
+            def reader_main(idx: int, batches: Iterable[list]) -> None:
+                q = queues[idx]
                 try:
-                    fn()
+                    pending: list = []
+                    for batch in batches:
+                        if stop.is_set():
+                            raise _StopPipeline
+                        if pending:
+                            pending += batch
+                        else:
+                            pending = batch
+                        # hand off a full batch, or whatever is ready when
+                        # the merger may be waiting on this stream
+                        if len(pending) >= batch_records or q.empty():
+                            _put_until(q, pending, stop)
+                            pending = []
+                    if pending:
+                        _put_until(q, pending, stop)
                 except _StopPipeline:
                     pass
                 except BaseException as exc:  # propagated after join
                     errors.append(exc)
                     stop.set()
                 finally:
+                    close = getattr(batches, "close", None)
+                    if close is not None:
+                        close()
                     # the end marker must always land, even into a full queue
                     # nobody is draining any more
                     while True:
                         try:
-                            queues[idx].put_nowait(_Merger.end_sentinel())
+                            q.put_nowait(_Merger.end_sentinel())
                             return
                         except queue.Full:
                             if stop.is_set():
                                 try:
-                                    queues[idx].get_nowait()
+                                    q.get_nowait()
                                 except queue.Empty:
                                     pass
                             else:
                                 time.sleep(0.005)
 
-            for idx in range(n_streams):
-                if serving_smp:
-                    fn = (lambda it=smp_streams[idx], q=queues[idx]: _reader_memory(it, q, stop))
-                elif serving_ser and m >= 1:
-                    blobs = ser_cache.streams[idx]
-                    fn = (
-                        lambda b=blobs, i=idx, q=queues[idx]: _reader_serialized(
-                            b, "shard", i, n_streams, q, stop, materialized.compression
-                        )
-                    )
-                elif serving_ser:
-                    blobs = ser_cache.streams[idx]
-                    seqs = range(idx, idx + len(blobs) * n_streams, n_streams)
-                    fn = (
-                        lambda b=blobs, s=seqs, q=queues[idx]: _reader_serialized(
-                            b, "raw", s, n_streams, q, stop, Compression.NONE
-                        )
-                    )
-                elif m >= 1:
-                    fn = (
-                        lambda p=shard_list[idx], i=idx, q=queues[idx]: _reader_shard(
-                            backend, p, i, n_streams, materialized.compression, q, stop,
-                            ser_cache if populate_ser else None,
-                        )
-                    )
-                else:
-                    mine = [(j, files[j]) for j in range(idx, total, n_streams)]
-                    fn = (
-                        lambda ps=mine, i=idx, q=queues[idx]: _reader_raw_files(
-                            backend, ps, q, stop, ser_cache if populate_ser else None, i
-                        )
-                    )
-                t = threading.Thread(target=reader_main, args=(idx, fn), daemon=True)
-                readers.append(t)
+            readers = [
+                threading.Thread(target=reader_main, args=(idx, src), daemon=True)
+                for idx, src in enumerate(sources)
+            ]
+            for t in readers:
                 t.start()
 
-            acc = _Accumulator(config.collect_digests)
-            sink_lock = threading.Lock()
+            # one worker, or no shuffle: each worker feeds its own accumulator,
+            # merged after join; a shuffle shared by several workers needs a lock
+            ordered = n_workers == 1
+            shuffle = None
             if strategy.shuffle_buffer > 0:
+                accs = [_Accumulator(config.collect_digests, ordered)]
                 shuffle = _ShuffleSink(
                     strategy.shuffle_buffer,
                     random.Random(_mix_seed(config.rng_seed, epoch, -1, -1)),
-                    acc,
+                    accs[0],
                 )
-                def deliver(t: Tensor) -> None:
-                    with sink_lock:
-                        shuffle.push(t)
-            else:
-                shuffle = None
-                def deliver(t: Tensor) -> None:
-                    with sink_lock:
-                        acc(t)
+                if ordered:
+                    sinks = [shuffle.push]
+                else:
+                    sink_lock = threading.Lock()
 
-            source_dtype = getattr(pipeline.source, "dtype", None)
+                    def locked_push(t: Tensor) -> None:
+                        with sink_lock:
+                            shuffle.push(t)
+
+                    sinks = [locked_push] * n_workers
+            else:
+                accs = [_Accumulator(config.collect_digests, ordered) for _ in range(n_workers)]
+                sinks = accs
 
             def worker_main(widx: int) -> None:
+                deliver = sinks[widx]
+                next_item = merger.next_item
                 try:
                     while True:
-                        item = merger.next_item()
+                        item = next_item()
                         if item is None:
                             return
-                        t0 = time.perf_counter_ns()
-                        if isinstance(item.value, Tensor):
-                            tensor = item.value
-                        elif item.crc is not None:
-                            verify_payload(item.value, item.crc)
-                            tensor = decode_tensor(item.value)
-                        else:
-                            width = source_dtype.width
-                            tensor = Tensor(
-                                source_dtype,
-                                (len(item.value) // width,),
-                                item.value,
-                            )
-                        trace.emit(epoch, widx, "deserialize", t0, time.perf_counter_ns())
+                        seq, value, crc = item
+                        if tracing:
+                            t0 = time.perf_counter_ns()
+                        tensor = load(value, crc)
+                        if tracing:
+                            trace.emit(epoch, widx, "deserialize", t0, time.perf_counter_ns())
                         if populate_smp:
                             # cache the load product; transforms still run
                             # every epoch so random steps stay per-epoch fresh
-                            smp_cache.add(item.seq, tensor)
-                        for step_idx, step in online_steps:
+                            smp_cache.add(seq, tensor)
+                        for step_idx, step, exclusive, deterministic in online_steps:
                             rng = (
-                                random.Random(
-                                    _mix_seed(config.rng_seed, epoch, item.seq, step_idx)
+                                None
+                                if deterministic
+                                else random.Random(
+                                    _mix_seed(config.rng_seed, epoch, seq, step_idx)
                                 )
-                                if not step.deterministic
-                                else None
                             )
-                            t1 = time.perf_counter_ns()
-                            if step.exec_mode is ExecMode.EXCLUSIVE:
+                            if tracing:
+                                t1 = time.perf_counter_ns()
+                            if exclusive:
                                 with gate:
                                     tensor = execute_step(step, tensor, rng=rng)
                             else:
                                 tensor = execute_step(step, tensor, rng=rng)
-                            trace.emit(epoch, widx, step.name, t1, time.perf_counter_ns())
+                            if tracing:
+                                trace.emit(epoch, widx, step.name, t1, time.perf_counter_ns())
                         deliver(tensor)
                 except BaseException as exc:
                     errors.append(exc)
@@ -648,7 +661,7 @@ def run_online(
 
             workers = [
                 threading.Thread(target=worker_main, args=(w,), daemon=True)
-                for w in range(strategy.parallelism)
+                for w in range(n_workers)
             ]
             for t in workers:
                 t.start()
@@ -660,6 +673,9 @@ def run_online(
                 raise errors[0]
             if shuffle is not None:
                 shuffle.drain()
+            acc = accs[0]
+            for other in accs[1:]:
+                acc.merge(other)
 
             wall = time.perf_counter() - start
             outcome = CacheOutcome.DISABLED

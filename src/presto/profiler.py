@@ -295,6 +295,8 @@ def profile_campaign(
     records: list[ProfileRecord] = []
     errors: list[CampaignError] = []
     interrupted = False
+    # measured before any strategy's clock starts, not inside the first one
+    calibration = calibration_units_per_second()
     for strategy in strategies:
         try:
             records.append(profile_strategy(strategy, pipeline, backend, config))
@@ -314,7 +316,7 @@ def profile_campaign(
         "version": __version__,
         "created_unix": time.time(),
         "config_digest": _config_digest(pipeline, strategies, config),
-        "calibration_units_per_second": calibration_units_per_second(),
+        "calibration_units_per_second": calibration,
         "backend": {
             "kind": backend.config.kind.value,
             "bandwidth": backend.config.bandwidth,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .core import Compression, DType, Tensor
+from .core import MAX_RANK, Compression, DType, Tensor
 from .storage import StorageBackend
 
 MAGIC = b"PRESTOC1"
@@ -93,25 +93,38 @@ def shard_paths(base: str | Path, shards: int, compression: Compression) -> list
     return [Path(f"{base}-{i:05d}-of-{shards:05d}{ext}") for i in range(shards)]
 
 
+_TENSOR_HEAD = struct.Struct("<BB")  # dtype code, rank
+_DTYPE_BY_CODE = {d.code: d for d in DType}
+
+
+def _extents(rank: int) -> struct.Struct:
+    return struct.Struct(f"<{rank}Q")
+
+
+_EXTENTS = [_extents(rank) for rank in range(MAX_RANK + 1)]
+
+
 def encode_tensor(tensor: Tensor) -> bytes:
-    parts = [
-        struct.pack("<BB", tensor.dtype.code, tensor.rank),
-        struct.pack(f"<{tensor.rank}Q", *tensor.shape) if tensor.rank else b"",
-        tensor.data,
-    ]
-    return b"".join(parts)
+    rank = len(tensor.shape)
+    return b"".join(
+        (
+            _TENSOR_HEAD.pack(tensor.dtype.code, rank),
+            _EXTENTS[rank].pack(*tensor.shape),
+            tensor.data,
+        )
+    )
 
 
 def decode_tensor(payload: bytes) -> Tensor:
     if len(payload) < 2:
         raise ContainerFormatError("tensor payload shorter than its header")
     code, rank = payload[0], payload[1]
-    dtype = DType.from_code(code)
+    dtype = _DTYPE_BY_CODE.get(code) or DType.from_code(code)
     dims_end = 2 + 8 * rank
     if len(payload) < dims_end:
         raise ContainerFormatError("tensor payload truncated inside extents")
-    shape = struct.unpack(f"<{rank}Q", payload[2:dims_end]) if rank else ()
-    return Tensor(dtype, tuple(int(d) for d in shape), payload[dims_end:])
+    extents = _EXTENTS[rank] if rank <= MAX_RANK else _extents(rank)
+    return Tensor(dtype, extents.unpack_from(payload, 2), payload[dims_end:])
 
 
 def encoded_size(tensor: Tensor) -> int:
@@ -186,100 +199,117 @@ def write_container(
     return WriteStats(bytes_written=total, seconds=seconds, samples=count, paths=tuple(paths))
 
 
-class _RecordStream:
-    """Buffered exact-length reads over an optionally compressed stream."""
-
-    _CHUNK = 1 << 18
-
-    def __init__(self, fh, compression: Compression) -> None:
-        self._fh = fh
-        self._decomp = (
-            zlib.decompressobj(_WBITS[compression]) if compression is not Compression.NONE else None
-        )
-        self._buf = bytearray()
-        self._eof = False
-
-    def _fill(self, want: int) -> None:
-        try:
-            while len(self._buf) < want and not self._eof:
-                raw = self._fh.read(self._CHUNK)
-                if not raw:
-                    self._eof = True
-                    if self._decomp is not None:
-                        self._buf += self._decomp.flush()
-                    return
-                self._buf += self._decomp.decompress(raw) if self._decomp is not None else raw
-        except zlib.error as exc:
-            raise ContainerFormatError(f"corrupt compressed stream: {exc}") from exc
-
-    def read_exact(self, n: int) -> bytes | None:
-        """n bytes, or None at a clean end-of-stream boundary."""
-        if self._decomp is None and not self._buf:
-            # plain stream with nothing buffered: skip the staging bytearray
-            out = self._fh.read(n)
-            if not out:
-                self._eof = True
-                return None
-            while len(out) < n:
-                more = self._fh.read(n - len(out))
-                if not more:
-                    self._eof = True
-                    raise TruncatedRecordError(
-                        f"stream ends {n - len(out)} bytes short of a full field"
-                    )
-                out += more
-            return out
-        self._fill(n)
-        if not self._buf and self._eof:
-            return None
-        if len(self._buf) < n:
-            raise TruncatedRecordError(
-                f"stream ends {n - len(self._buf)} bytes short of a full field"
-            )
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
+_READ_SIZE = 1 << 16  # bytes per backend read while framing
+_FRAME_HEAD = struct.Struct("<QI")  # length, CRC of the length bytes
 
 
-def _read_header(fh, path: str | Path) -> Compression:
-    head = fh.read(HEADER_LEN)
+def _parse_header(head: bytes, label) -> Compression:
     if len(head) < HEADER_LEN:
-        raise TruncatedRecordError(f"{path}: shorter than the container header")
-    magic, version, comp_code, reserved = struct.unpack("<8sBB6s", head)
+        raise TruncatedRecordError(f"{label}: shorter than the container header")
+    magic, version, comp_code, reserved = struct.unpack_from("<8sBB6s", head)
     if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
+        raise BadMagicError(f"{label}: bad magic {magic!r}")
     if version != VERSION:
-        raise ContainerFormatError(f"{path}: unsupported version {version}")
+        raise ContainerFormatError(f"{label}: unsupported version {version}")
     if comp_code not in _CODE_COMPS:
-        raise ContainerFormatError(f"{path}: unknown compression code {comp_code}")
+        raise ContainerFormatError(f"{label}: unknown compression code {comp_code}")
     if reserved != b"\x00" * 6:
-        raise ContainerFormatError(f"{path}: reserved header bytes not zero")
+        raise ContainerFormatError(f"{label}: reserved header bytes not zero")
     return _CODE_COMPS[comp_code]
 
 
-def _iter_frames(stream: _RecordStream, label) -> Iterator[tuple[int, bytes, int]]:
-    """Yield (offset, payload, stored_payload_crc) per record.  The length CRC
-    is checked here because framing depends on it; the payload CRC is left to
-    the caller so deserialization cost can be accounted separately."""
-    offset = 0
+def iter_frames(
+    fh, label, expected: Compression | None = None
+) -> Iterator[list[tuple[bytes, int]]]:
+    """Frame one container file read from `fh`.
+
+    Checks the header once (and, when `expected` is given, that it names
+    that compression), then yields, per read of the file, the non-empty
+    list of (payload, stored_payload_crc) records that read completed.
+    The length CRC is checked here because framing depends on it; the
+    payload CRC is left to the caller so deserialization cost can be
+    accounted separately.
+
+    Reads ask for `_READ_SIZE` bytes, plus the rest of a record that the
+    buffered bytes leave unfinished, so a long payload is read through in
+    one call and copied once.  In a plain stream every read but the last
+    two therefore moves at least `_READ_SIZE` bytes.
+    """
+    first = fh.read(_READ_SIZE)
+    stored = _parse_header(first[:HEADER_LEN], label)
+    if expected is not None and stored is not expected:
+        raise ContainerFormatError(
+            f"{label}: header says {stored.value}, caller expected {expected.value}"
+        )
+    if stored is Compression.NONE:
+        yield from _frames(first, HEADER_LEN, fh.read, label)
+    else:
+        yield from _frames(b"", 0, _inflater(fh, stored, first[HEADER_LEN:]), label)
+
+
+def _inflater(fh, compression: Compression, pending: bytes):
+    """read(n) over the decompressed record stream; b"" once it ends."""
+    decomp = zlib.decompressobj(_WBITS[compression])
+    done = False
+
+    def read(n: int) -> bytes:
+        nonlocal pending, done
+        try:
+            while not done:
+                raw = pending or fh.read(n)
+                pending = b""
+                if not raw:
+                    done = True
+                    return decomp.flush()
+                out = decomp.decompress(raw)
+                if out:
+                    return out
+        except zlib.error as exc:
+            raise ContainerFormatError(f"corrupt compressed stream: {exc}") from exc
+        return b""
+
+    return read
+
+
+def _frames(buf: bytes, pos: int, read, label) -> Iterator[list[tuple[bytes, int]]]:
+    """iter_frames' parser over read(n), starting at buf[pos:]."""
+    head = _FRAME_HEAD.unpack_from
+    crc_at = _CRC_STRUCT.unpack_from
+    crc32 = zlib.crc32
+    base = -pos  # record stream offset of buf[0], for error reports
+    frames = []
     while True:
-        length_bytes = stream.read_exact(8)
-        if length_bytes is None:
+        end = len(buf)
+        while end - pos >= 12:
+            length, lencrc = head(buf, pos)
+            if crc32(buf[pos : pos + 8]) != lencrc:
+                raise CrcMismatchError(f"{label}: length CRC mismatch", base + pos)
+            stop = pos + RECORD_OVERHEAD + length
+            if stop > end:
+                break
+            frames.append((buf[pos + 12 : stop - 4], crc_at(buf, stop - 4)[0]))
+            pos = stop
+        if frames:
+            yield frames
+            frames = []
+        have = end - pos
+        # bytes still missing from a record whose checked length is buffered
+        missing = head(buf, pos)[0] + RECORD_OVERHEAD - have if have >= 12 else 0
+        chunk = read(missing + _READ_SIZE)
+        if not chunk:
+            if have:
+                raise TruncatedRecordError(f"{label}: stream ends inside a record")
             return
-        lencrc = stream.read_exact(4)
-        if lencrc is None:
-            raise TruncatedRecordError(f"{label}: record cut off after length")
-        if zlib.crc32(length_bytes) != _CRC_STRUCT.unpack(lencrc)[0]:
-            raise CrcMismatchError(f"{label}: length CRC mismatch", offset)
-        (length,) = _LEN_STRUCT.unpack(length_bytes)
-        payload = stream.read_exact(length)
-        if payload is None:
-            raise TruncatedRecordError(f"{label}: record cut off before payload")
-        crc = stream.read_exact(4)
-        if crc is None:
-            raise TruncatedRecordError(f"{label}: record cut off before payload CRC")
-        yield offset, payload, _CRC_STRUCT.unpack(crc)[0]
-        offset += RECORD_OVERHEAD + length
+        if missing >= 4 and len(chunk) >= missing:
+            # the record spans both buffers: join its payload, parse on in chunk
+            payload = b"".join((memoryview(buf)[pos + 12 :], memoryview(chunk)[: missing - 4]))
+            frames.append((payload, crc_at(chunk, missing - 4)[0]))
+            base += end
+            buf, pos = chunk, missing
+        else:
+            base += pos
+            buf = buf[pos:] + chunk if have else chunk
+            pos = 0
 
 
 def verify_payload(payload: bytes, stored_crc: int, label="record", offset: int = 0) -> None:
@@ -287,36 +317,13 @@ def verify_payload(payload: bytes, stored_crc: int, label="record", offset: int 
         raise CrcMismatchError(f"{label}: payload CRC mismatch", offset + 12)
 
 
-def iter_shard_frames(
-    path: str | Path,
-    compression: Compression | None = None,
-    backend: StorageBackend | None = None,
-) -> Iterator[tuple[bytes, int]]:
-    """Yield (payload, stored_payload_crc) from one shard.  Framing and the
-    length CRC are verified; the payload CRC is the caller's to check."""
-    backend = backend or StorageBackend()
-    with backend.open_read(path) as fh:
-        stored = _read_header(fh, path)
-        if compression is not None and stored is not compression:
-            raise ContainerFormatError(
-                f"{path}: header says {stored.value}, caller expected {compression.value}"
-            )
-        for _, payload, crc in _iter_frames(_RecordStream(fh, stored), path):
-            yield payload, crc
-
-
 def frames_from_bytes(
     data: bytes, compression: Compression | None = None, label="memory"
 ) -> Iterator[tuple[bytes, int]]:
-    """Like iter_shard_frames but over an in-memory copy of a shard file."""
-    fh = io.BytesIO(data)
-    stored = _read_header(fh, label)
-    if compression is not None and stored is not compression:
-        raise ContainerFormatError(
-            f"{label}: header says {stored.value}, caller expected {compression.value}"
-        )
-    for _, payload, crc in _iter_frames(_RecordStream(fh, stored), label):
-        yield payload, crc
+    """(payload, stored_payload_crc) per record of an in-memory copy of a
+    container file; framing and the length CRC are verified."""
+    for frames in iter_frames(io.BytesIO(data), label, compression):
+        yield from frames
 
 
 def iter_shard(
@@ -327,14 +334,12 @@ def iter_shard(
     """Yield tensors from one shard, verifying both CRCs per record."""
     backend = backend or StorageBackend()
     with backend.open_read(path) as fh:
-        stored = _read_header(fh, path)
-        if compression is not None and stored is not compression:
-            raise ContainerFormatError(
-                f"{path}: header says {stored.value}, caller expected {compression.value}"
-            )
-        for offset, payload, crc in _iter_frames(_RecordStream(fh, stored), path):
-            verify_payload(payload, crc, path, offset)
-            yield decode_tensor(payload)
+        offset = 0
+        for frames in iter_frames(fh, path, compression):
+            for payload, crc in frames:
+                verify_payload(payload, crc, path, offset)
+                offset += RECORD_OVERHEAD + len(payload)
+                yield decode_tensor(payload)
 
 
 def read_container(

@@ -1,6 +1,9 @@
 import hashlib
 import logging
 import random
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from presto.core import (
     StepSpec,
     Strategy,
 )
+from presto import engine, steps
 from presto.engine import (
     CacheOutcome,
     EpochStats,
@@ -24,7 +28,7 @@ from presto.engine import (
     run_online,
     shuffle_stream,
 )
-from presto.recordio import encode_tensor, write_container
+from presto.recordio import CrcMismatchError, encode_tensor, write_container
 from presto.steps import calibration_units_per_second, execute_step
 from presto.storage import StorageBackend
 from presto.workloads import (
@@ -379,3 +383,203 @@ def test_trace_log_lines(tmp_path):
         stages.add(stage)
     assert stages == {"deserialize", "double", "widened"}
     assert len(lines) == 4 * 3
+
+
+# ------------------------------------------------------------- reader handoff
+
+
+def run_in_thread(fn, timeout=30.0):
+    """Run fn on its own thread; fail instead of hanging."""
+    out = {}
+
+    def main():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # handed to the test
+            out["error"] = exc
+
+    t = threading.Thread(target=main, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "run_online hung"
+    return out
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_payload_crc_flip_mid_batch_raises(tmp_path, parallelism):
+    desc = make_dataset(tmp_path, count=40, bps=2048)
+    pipe = det_pipeline(desc)
+    mat = materialize(pipe, desc, 1, tmp_path / "m1", shards=1)
+    raw = bytearray(mat.paths[0].read_bytes())
+    record = 16 + 2 + 8 + 2048
+    raw[16 + 12 * record + 12 + 100] ^= 0x10  # inside the 13th of ~31 in the first read
+    mat.paths[0].write_bytes(bytes(raw))
+    before = threading.active_count()
+    out = run_in_thread(lambda: run(Strategy(split_index=1, parallelism=parallelism), pipe, mat))
+    assert isinstance(out.get("error"), CrcMismatchError)
+    deadline = time.monotonic() + 10
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= before, "engine threads left running"
+
+
+def test_many_workers_under_fast_switching_keep_counts_and_digests(tmp_path):
+    desc = make_dataset(tmp_path, count=64, bps=512)
+    pipe = det_pipeline(desc)
+    ref = oracle_outputs(pipe, desc, seed=0, epoch=1)
+    mat = materialize(pipe, desc, 1, tmp_path / "m1", shards=3)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for st, limit in ((Strategy(split_index=1, parallelism=8), None),
+                          (Strategy(split_index=1, parallelism=8), 29),
+                          (Strategy(split_index=0, parallelism=8), None),
+                          (Strategy(split_index=1, parallelism=8, shuffle_buffer=5), None)):
+            out = run_in_thread(lambda: run(st, pipe, mat if st.split_index else None,
+                                            epochs=2, sample_limit=limit))
+            eps = out["value"]
+            want = desc.sample_count if limit is None else limit
+            assert [e.samples for e in eps] == [want, want], st
+            if limit is None:
+                assert [e.multiset_digest for e in eps] == [xor_digest(ref)] * 2, st
+            assert all(e.sequence_digest is None for e in eps)
+    finally:
+        sys.setswitchinterval(old)
+
+
+class CountingBackend(StorageBackend):
+    """Local backend that counts reads per opened path."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = {}
+
+    def open_read(self, path):
+        handle = super().open_read(path)
+        counts = self.reads.setdefault(Path(path), [])
+        inner = handle.read
+
+        def read(n=-1):
+            chunk = inner(n)
+            counts.append(len(chunk))
+            return chunk
+
+        handle.read = read
+        return handle
+
+
+@pytest.mark.parametrize("bps", [4096, 150_000])
+def test_plain_split1_epoch_reads_whole_buffers(tmp_path, bps):
+    desc = make_dataset(tmp_path, count=60 if bps == 4096 else 6, bps=bps)
+    pipe = Pipeline(source=desc, steps=chain([]))
+    mat = materialize(pipe, desc, 1, tmp_path / "m1", shards=2)
+    backend = CountingBackend()
+    (ep,) = run(Strategy(split_index=1), pipe, mat, backend=backend)
+    assert ep.samples == desc.sample_count
+    sizes = {Path(p): Path(p).stat().st_size for p in mat.paths}
+    assert ep.io.bytes_read == sum(sizes.values())
+    assert ep.io.opens == len(mat.paths)
+    for path, size in sizes.items():
+        reads = backend.reads[path]
+        assert sum(reads) == size
+        assert len(reads) <= -(-size // (1 << 16)) + 1, reads
+
+
+def test_split_zero_on_a_containers_source_frames_its_shards(tmp_path):
+    desc = generate_synthetic(
+        tmp_path / "src", total_bytes=26 * 1000, bytes_per_sample=1000,
+        layout=Layout.CONTAINERS, shards=4, seed=4, compressibility=KNOB,
+    )
+    pipe = det_pipeline(desc)
+    ref = oracle_outputs(pipe, desc, seed=0, epoch=1)
+    mat = materialize(pipe, desc, 1, tmp_path / "m1")
+    for par in (1, 2):
+        (zero,) = run(Strategy(split_index=0, parallelism=par), pipe)
+        (one,) = run(Strategy(split_index=1, parallelism=par), pipe, mat)
+        assert zero.samples == one.samples == desc.sample_count
+        assert zero.multiset_digest == one.multiset_digest == xor_digest(ref)
+        if par == 1:
+            assert zero.sequence_digest == one.sequence_digest == seq_digest(ref)
+        else:
+            assert zero.sequence_digest is one.sequence_digest is None
+    eps = run(Strategy(split_index=0, cache_mode=CacheMode.SERIALIZED), pipe, epochs=2)
+    assert [e.cache for e in eps] == [CacheOutcome.POPULATED, CacheOutcome.SERVED]
+    assert eps[0].sequence_digest == eps[1].sequence_digest == seq_digest(ref)
+    (short,) = run(Strategy(split_index=0), pipe, sample_limit=7)
+    assert short.samples == 7
+    assert short.sequence_digest == seq_digest(ref[:7])
+
+
+# ---------------------------------------------------------------- calibration
+
+
+@pytest.fixture
+def calibration_log(monkeypatch):
+    """Events in call order: "measure" when the step-cost calibration
+    really runs (the cached rate was reset), "clock" when the engine reads
+    its epoch clock, and "materialize" when the profiler packs a split."""
+    events = []
+    real = steps.calibration_units_per_second
+
+    def calibrate():
+        if steps._CAL_RATE is None:
+            events.append("measure")
+        return real()
+
+    monkeypatch.setattr(steps, "_CAL_RATE", None)
+    monkeypatch.setattr(steps, "calibration_units_per_second", calibrate)
+    monkeypatch.setattr(engine, "calibration_units_per_second", calibrate)
+
+    class Clock:
+        def __getattr__(self, name):
+            return getattr(time, name)
+
+        def perf_counter(self):
+            events.append("clock")
+            return time.perf_counter()
+
+    monkeypatch.setattr(engine, "time", Clock())
+    return events
+
+
+def costed_pipeline(desc):
+    return Pipeline(source=desc, steps=chain([
+        StepSpec("spin", StepKind.MAP_COMPUTE, compute_cost=0.01),
+    ]))
+
+
+def test_run_online_calibrates_before_its_first_epoch(tmp_path, calibration_log):
+    desc = make_dataset(tmp_path, count=4)
+    run(Strategy(split_index=0), costed_pipeline(desc), collect_digests=False)
+    assert calibration_log.count("measure") == 1
+    assert calibration_log[0] == "measure"
+
+
+def test_run_online_skips_calibration_without_costed_steps(tmp_path, calibration_log):
+    desc = make_dataset(tmp_path, count=4)
+    run(Strategy(split_index=0), det_pipeline(desc), collect_digests=False)
+    assert "measure" not in calibration_log
+
+
+def test_profile_campaign_calibrates_before_materializing(tmp_path, calibration_log, monkeypatch):
+    from presto import profiler
+
+    monkeypatch.setattr(profiler, "calibration_units_per_second",
+                        steps.calibration_units_per_second)
+    real_materialize = profiler.materialize
+
+    def materialize_logged(*args, **kwargs):
+        calibration_log.append("materialize")
+        return real_materialize(*args, **kwargs)
+
+    monkeypatch.setattr(profiler, "materialize", materialize_logged)
+    desc = make_dataset(tmp_path, count=4)
+    pipe = Pipeline(source=desc, steps=chain([
+        StepSpec("spin", StepKind.MAP_COMPUTE, compute_cost=0.01),
+        StepSpec("tail", StepKind.MAP_COMPUTE),
+    ]))
+    config = profiler.ProfileConfig(run=RunConfig(), workdir=tmp_path / "work")
+    campaign = profiler.profile_campaign(pipe, [Strategy(split_index=2)], StorageBackend(), config)
+    assert len(campaign.records) == 1
+    assert calibration_log.count("measure") == 1
+    assert calibration_log.index("measure") < calibration_log.index("materialize")

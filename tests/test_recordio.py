@@ -1,5 +1,6 @@
 """Container format tests: golden bytes, roundtrips, corruption detection."""
 
+import io
 import struct
 import zlib
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presto import recordio
 from presto.core import Compression, DType, Tensor
 from presto.recordio import (
     BadMagicError,
@@ -17,6 +19,7 @@ from presto.recordio import (
     compression_for_path,
     encode_tensor,
     encoded_size,
+    iter_frames,
     read_container,
     shard_paths,
     space_saving,
@@ -216,3 +219,107 @@ def test_header_compression_mismatch_rejected(tmp_path):
     with pytest.raises(ContainerFormatError):
         list(read_container(stats.paths, compression=Compression.GZIP))
     assert len(list(read_container(stats.paths, compression=Compression.ZLIB))) == 1
+
+
+# ---------------------------------------------------------------- framing
+
+
+class CountingReader:
+    """File-like over bytes that records the size of every read."""
+
+    def __init__(self, data):
+        self._fh = io.BytesIO(data)
+        self.reads = []
+
+    def read(self, n=-1):
+        chunk = self._fh.read(n)
+        self.reads.append(len(chunk))
+        return chunk
+
+
+def payloads_of(tensors):
+    return [encode_tensor(t) for t in tensors]
+
+
+def u8(n, fill):
+    return Tensor(DType.U8, (n,), bytes([fill]) * n)
+
+
+@pytest.mark.parametrize("compression", ALL_COMPRESSIONS)
+def test_payloads_larger_than_the_read_buffer(tmp_path, compression):
+    big = recordio._READ_SIZE
+    tensors = [u8(3 * big + 5, 1), u8(10, 2), u8(big, 3), u8(big - 30, 4), u8(2 * big, 5)]
+    stats = write_container(tensors, tmp_path / "big", compression)
+    assert list(read_container(stats.paths)) == tensors
+    raw = stats.paths[0].read_bytes()
+    batches = list(iter_frames(CountingReader(raw), "big", compression))
+    assert all(batches)
+    assert [p for batch in batches for p, _ in batch] == payloads_of(tensors)
+
+
+def test_plain_stream_reads_whole_buffers_or_straight_through(tmp_path):
+    big = recordio._READ_SIZE
+    tensors = [u8(n, i) for i, n in enumerate((100, 5 * big, 7, 2 * big + 1, 4000, big))]
+    stats = write_container(tensors, tmp_path / "s")
+    raw = stats.paths[0].read_bytes()
+    fh = CountingReader(raw)
+    frames = [f for batch in iter_frames(fh, "s") for f in batch]
+    assert [p for p, _ in frames] == payloads_of(tensors)
+    assert sum(fh.reads) == len(raw)
+    assert fh.reads[-1] == 0
+    # every read but the final short one and the end-of-file probe moves a
+    # full buffer or more, and the header comes with the first of them
+    assert all(n >= big for n in fh.reads[:-2])
+    assert len(fh.reads) <= -(-len(raw) // big) + 1
+
+
+@pytest.mark.parametrize("tail", [0, 1])
+def test_record_ending_exactly_on_a_buffer_boundary(tmp_path, tail):
+    big = recordio._READ_SIZE
+    # header + one record of rank-1 U8 fills the first read exactly
+    n = big - recordio.HEADER_LEN - recordio.RECORD_OVERHEAD - (2 + 8)
+    tensors = [u8(n, 9)] + [u8(50, 8)] * tail
+    stats = write_container(tensors, tmp_path / "edge")
+    raw = stats.paths[0].read_bytes()
+    assert len(raw) == big + tail * (recordio.RECORD_OVERHEAD + 2 + 8 + 50)
+    fh = CountingReader(raw)
+    batches = list(iter_frames(fh, "edge"))
+    assert [len(b) for b in batches] == [1] * len(tensors)
+    assert [p for b in batches for p, _ in b] == payloads_of(tensors)
+    assert list(read_container(stats.paths)) == tensors
+
+
+@pytest.mark.parametrize("size", [3000, 3 * (1 << 16)])
+def test_cut_mid_payload_raises_truncated(tmp_path, size):
+    tensors = [u8(size, 1), u8(size, 2)]
+    stats = write_container(tensors, tmp_path / "cut")
+    raw = stats.paths[0].read_bytes()
+    victim = tmp_path / "cut.prc"
+    record = recordio.RECORD_OVERHEAD + 2 + 8 + size
+    for cut in (recordio.HEADER_LEN + 12 + size // 2, recordio.HEADER_LEN + record + 20 + size // 3):
+        victim.write_bytes(raw[:cut])
+        with pytest.raises(TruncatedRecordError):
+            list(read_container([victim]))
+
+
+def test_iter_frames_checks_header_once_against_expected(tmp_path):
+    stats = write_container([u8(4, 1)], tmp_path / "h", Compression.GZIP)
+    raw = stats.paths[0].read_bytes()
+    with pytest.raises(ContainerFormatError):
+        list(iter_frames(io.BytesIO(raw), "h", Compression.NONE))
+    assert len(list(iter_frames(io.BytesIO(raw), "h", Compression.GZIP))) == 1
+    with pytest.raises(BadMagicError):
+        list(iter_frames(io.BytesIO(b"X" + raw[1:]), "h"))
+
+
+def test_length_crc_error_reports_stream_offset_past_a_long_record(tmp_path):
+    big = recordio._READ_SIZE
+    tensors = [u8(2 * big + 3, 1), u8(40, 2), u8(40, 3)]
+    stats = write_container(tensors, tmp_path / "o")
+    raw = bytearray(stats.paths[0].read_bytes())
+    first = recordio.RECORD_OVERHEAD + 2 + 8 + 2 * big + 3
+    second = recordio.RECORD_OVERHEAD + 2 + 8 + 40
+    raw[recordio.HEADER_LEN + first + second] ^= 0x01  # length field of the third record
+    with pytest.raises(CrcMismatchError) as err:
+        list(iter_frames(io.BytesIO(bytes(raw)), "o"))
+    assert err.value.offset == first + second
