@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -364,15 +365,76 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def cmd_rank(args) -> int:
+# what rank and report read of each saved record, and what report reads
+# of each of its epochs
+_RECORD_FIELDS = {
+    "strategy_id": str,
+    "label": str,
+    "preprocessing_seconds": (int, float),
+    "storage_bytes": int,
+    "throughput_sps": (int, float),
+    "strategy": dict,
+}
+_STRATEGY_FIELDS = {
+    "split_index": int,
+    "compression": str,
+    "parallelism": int,
+    "cache_mode": str,
+}
+_EPOCH_FIELDS = {
+    "epoch": int,
+    "throughput": (int, float),
+    "bytes_read": int,
+    "bytes_written": int,
+}
+
+
+def _require(doc, fields: dict, where: str) -> None:
+    """ConfigError unless `doc` is an object holding every field, typed."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key, want in fields.items():
+        value = doc.get(key)
+        if value is None:
+            raise ConfigError(f"{where}: missing {key!r}")
+        if isinstance(value, bool) or not isinstance(value, want):
+            names = want.__name__ if isinstance(want, type) else "number"
+            raise ConfigError(f"{where}: {key} must be {names}, got {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
+
+
+def _checked_campaign(path: str, verb: str, epochs: bool) -> dict:
+    """The saved campaign at `path`, checked to hold what `verb` reads:
+    the ranking fields of every record, and its epochs when `epochs`."""
     try:
-        doc = load_campaign(args.campaign)
+        doc = load_campaign(path)
     except FileNotFoundError:
-        raise ConfigError(f"campaign file not found: {args.campaign}")
+        raise ConfigError(f"campaign file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"campaign is not valid JSON: {exc}")
-    if not doc.get("records"):
-        raise ConfigError("campaign has no records to rank")
+    records = doc.get("records") if isinstance(doc, dict) else None
+    if not records:
+        raise ConfigError(f"campaign has no records to {verb}")
+    if not isinstance(records, list):
+        raise ConfigError("campaign: records must be a list")
+    for i, rec in enumerate(records):
+        where = f"campaign record {i}"
+        _require(rec, _RECORD_FIELDS, where)
+        _require(rec["strategy"], _STRATEGY_FIELDS, f"{where}.strategy")
+        if not epochs:
+            continue
+        repeats = rec.get("repeats")
+        if not isinstance(repeats, list) or not all(isinstance(r, list) for r in repeats):
+            raise ConfigError(f"{where}: repeats must be a list of epoch lists")
+        for r, eps in enumerate(repeats):
+            for e, ep in enumerate(eps):
+                _require(ep, _EPOCH_FIELDS, f"{where}.repeats[{r}][{e}]")
+    return doc
+
+
+def cmd_rank(args) -> int:
+    doc = _checked_campaign(args.campaign, "rank", epochs=False)
     ranking = score_and_rank(doc["records"], parse_weights(args.weights))
     _print_ranking(ranking)
     if args.json:
@@ -382,14 +444,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        doc = load_campaign(args.campaign)
-    except FileNotFoundError:
-        raise ConfigError(f"campaign file not found: {args.campaign}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"campaign is not valid JSON: {exc}")
-    if not doc.get("records"):
-        raise ConfigError("campaign has no records to report")
+    doc = _checked_campaign(args.campaign, "report", epochs=True)
     ranking = score_and_rank(doc["records"], parse_weights(args.weights))
     rows = emit_report_csv(doc, ranking, args.csv)
     print(f"wrote {args.csv} ({rows} rows)")

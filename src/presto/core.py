@@ -60,43 +60,80 @@ _NP_DTYPES = {
 MAX_RANK = 8
 
 
-@dataclass(frozen=True)
 class Tensor:
-    """A dense row-major tensor: dtype + shape + raw little-endian bytes."""
+    """A dense row-major tensor: dtype + shape + little-endian element bytes.
 
-    dtype: DType
-    shape: tuple[int, ...]
-    data: bytes
+    The elements stay in the buffer the tensor was built from (bytes, a
+    memoryview, or a C-contiguous ndarray) and are never copied.  `buffer`
+    is a read-only flat byte view of them, for hot paths (hashing, writing,
+    numpy views); `data` is the same bytes as a `bytes` object, hashable
+    and comparable, copied only when the buffer is not already one.
+    Tensors are values: nothing reassigns their fields.
+    """
 
-    def __post_init__(self) -> None:
-        shape = self.shape
+    __slots__ = ("dtype", "shape", "buffer")
+
+    def __init__(self, dtype: DType, shape: tuple[int, ...], data) -> None:
+        buf = data if type(data) is memoryview else memoryview(data)
+        if buf.format != "B" or buf.ndim != 1:
+            buf = buf.cast("B") if buf.nbytes else memoryview(b"")
+        if not buf.readonly:
+            buf = buf.toreadonly()
         if len(shape) > MAX_RANK:
             raise ValueError(f"rank {len(shape)} exceeds maximum {MAX_RANK}")
         if shape and min(shape) < 0:
             raise ValueError(f"negative extent in shape {shape}")
-        expected = math.prod(shape) * _WIDTHS[self.dtype]
-        if len(self.data) != expected:
+        expected = math.prod(shape) * _WIDTHS[dtype]
+        if buf.nbytes != expected:
             raise ValueError(
-                f"payload is {len(self.data)} bytes, shape {self.shape} of "
-                f"{self.dtype.name} needs {expected}"
+                f"payload is {buf.nbytes} bytes, shape {shape} of "
+                f"{dtype.name} needs {expected}"
             )
+        self.dtype = dtype
+        self.shape = shape
+        self.buffer = buf
+
+    @property
+    def data(self) -> bytes:
+        whole = self.buffer.obj
+        if type(whole) is bytes and len(whole) == self.buffer.nbytes:
+            return whole
+        return self.buffer.tobytes()
 
     @property
     def nbytes(self) -> int:
-        return len(self.data)
+        return self.buffer.nbytes
 
     @property
     def rank(self) -> int:
         return len(self.shape)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return (
+            self.dtype is other.dtype
+            and self.shape == other.shape
+            and self.buffer == other.buffer
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dtype, self.shape, self.data))
+
+    def __repr__(self) -> str:
+        return f"Tensor(dtype={self.dtype}, shape={self.shape}, nbytes={self.nbytes})"
+
     def to_numpy(self) -> np.ndarray:
-        return np.frombuffer(self.data, dtype=self.dtype.np).reshape(self.shape)
+        """A read-only view of the elements."""
+        return np.frombuffer(self.buffer, dtype=self.dtype.np).reshape(self.shape)
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "Tensor":
+        """Wraps `arr` without copying when it is already C-contiguous in a
+        container dtype; the caller must not modify it afterwards."""
         dt = _dtype_for_numpy(arr.dtype)
         contiguous = np.ascontiguousarray(arr, dtype=dt.np)
-        return cls(dt, tuple(int(d) for d in arr.shape), contiguous.tobytes())
+        return cls(dt, tuple(int(d) for d in arr.shape), contiguous)
 
 
 def _dtype_for_numpy(npdt: np.dtype) -> DType:

@@ -5,9 +5,11 @@ One reader thread per stream reads the stored form (raw sample files for
 split 0 of a many-small-files source, container shards otherwise) and hands
 the merger batches of records: everything framed from one read of a shard,
 or up to a batch of raw files.  Worker threads take single records from the
-merger, deserialize them and apply the online step suffix; a terminal sink
-counts, optionally shuffles, and digests what a training loop would have
-consumed.
+merger, deserialize them and apply the online step suffix; each worker's
+terminal sink counts and hashes what a training loop would have consumed.
+A shuffle buffer reorders what the loop sees, so at the end of an epoch it
+is run over the delivered hashes, in the order they were delivered, to give
+the sequence digest.
 
 Order contract: streams are built so that interleaving them round-robin by
 stream index reproduces the original sample order, matching how containers
@@ -29,7 +31,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     CacheMode,
@@ -40,7 +42,7 @@ from .core import (
     Tensor,
     validate_strategy,
 )
-from .recordio import decode_tensor, encode_tensor, iter_frames, verify_payload
+from .recordio import decode_tensor, encode_header, iter_frames, verify_payload
 from .storage import IoSnapshot, StorageBackend
 from .steps import calibration_units_per_second, execute_step
 from . import workloads
@@ -150,48 +152,29 @@ def shuffle_stream(stream: Iterable, capacity: int, rng: random.Random) -> Itera
         yield buf.pop(rng.randrange(len(buf)))
 
 
-class _ShuffleSink:
-    """Push-side twin of shuffle_stream feeding a downstream callable."""
-
-    def __init__(self, capacity: int, rng: random.Random, downstream: Callable) -> None:
-        self._cap = capacity
-        self._rng = rng
-        self._down = downstream
-        self._buf = []
-
-    def push(self, item) -> None:
-        if len(self._buf) < self._cap:
-            self._buf.append(item)
-            return
-        j = self._rng.randrange(self._cap)
-        out = self._buf[j]
-        self._buf[j] = item
-        self._down(out)
-
-    def drain(self) -> None:
-        while self._buf:
-            self._down(self._buf.pop(self._rng.randrange(len(self._buf))))
-
-
 class _Accumulator:
-    """Terminal consumer: counts samples and keeps an order-free digest of
-    the delivered tensors and, when `ordered`, an ordered one too.  Several
-    accumulators fed disjoint parts of an epoch merge into one."""
+    """Terminal consumer of one worker: counts the delivered tensors and
+    hashes each one (SHA-256 of its encoded payload).  The multiset digest
+    XORs the hashes; when `ordered`, the hashes are also kept in delivery
+    order for the sequence digest.  The accumulators of an epoch's workers
+    merge into one."""
 
     def __init__(self, collect_digests: bool, ordered: bool) -> None:
         self.count = 0
         self._collect = collect_digests
         self._xor = 0
-        self._seq = hashlib.sha256() if collect_digests and ordered else None
+        self._hashes: list[bytes] | None = [] if collect_digests and ordered else None
 
     def __call__(self, tensor: Tensor) -> None:
         self.count += 1
         if not self._collect:
             return
-        h = hashlib.sha256(encode_tensor(tensor)).digest()
-        self._xor ^= int.from_bytes(h, "big")
-        if self._seq is not None:
-            self._seq.update(h)
+        h = hashlib.sha256(encode_header(tensor))
+        h.update(tensor.buffer)
+        digest = h.digest()
+        self._xor ^= int.from_bytes(digest, "big")
+        if self._hashes is not None:
+            self._hashes.append(digest)
 
     def merge(self, other: "_Accumulator") -> None:
         self.count += other.count
@@ -201,9 +184,15 @@ class _Accumulator:
     def multiset_digest(self) -> str | None:
         return self._xor.to_bytes(32, "big").hex() if self._collect else None
 
-    @property
-    def sequence_digest(self) -> str | None:
-        return self._seq.hexdigest() if self._seq is not None else None
+    def sequence_digest(self, shuffle_buffer: int, rng: random.Random) -> str | None:
+        """Digest of the hashes in the order a training loop would see
+        them: delivery order, passed through the shuffle buffer if any."""
+        if self._hashes is None:
+            return None
+        order = self._hashes
+        if shuffle_buffer > 0:
+            order = shuffle_stream(order, shuffle_buffer, rng)
+        return hashlib.sha256(b"".join(order)).hexdigest()
 
 
 class _StopPipeline(Exception):
@@ -588,33 +577,13 @@ def run_online(
             for t in readers:
                 t.start()
 
-            # one worker, or no shuffle: each worker feeds its own accumulator,
-            # merged after join; a shuffle shared by several workers needs a lock
+            # each worker feeds its own accumulator, merged after join; only
+            # one worker's delivery order is reproducible
             ordered = n_workers == 1
-            shuffle = None
-            if strategy.shuffle_buffer > 0:
-                accs = [_Accumulator(config.collect_digests, ordered)]
-                shuffle = _ShuffleSink(
-                    strategy.shuffle_buffer,
-                    random.Random(_mix_seed(config.rng_seed, epoch, -1, -1)),
-                    accs[0],
-                )
-                if ordered:
-                    sinks = [shuffle.push]
-                else:
-                    sink_lock = threading.Lock()
-
-                    def locked_push(t: Tensor) -> None:
-                        with sink_lock:
-                            shuffle.push(t)
-
-                    sinks = [locked_push] * n_workers
-            else:
-                accs = [_Accumulator(config.collect_digests, ordered) for _ in range(n_workers)]
-                sinks = accs
+            accs = [_Accumulator(config.collect_digests, ordered) for _ in range(n_workers)]
 
             def worker_main(widx: int) -> None:
-                deliver = sinks[widx]
+                deliver = accs[widx]
                 next_item = merger.next_item
                 try:
                     while True:
@@ -671,11 +640,13 @@ def run_online(
                 t.join()
             if errors:
                 raise errors[0]
-            if shuffle is not None:
-                shuffle.drain()
             acc = accs[0]
             for other in accs[1:]:
                 acc.merge(other)
+            sequence_digest = acc.sequence_digest(
+                strategy.shuffle_buffer,
+                random.Random(_mix_seed(config.rng_seed, epoch, -1, -1)),
+            )
 
             wall = time.perf_counter() - start
             outcome = CacheOutcome.DISABLED
@@ -700,7 +671,7 @@ def run_online(
                     io=backend.counters.snapshot().delta(before),
                     cache=outcome,
                     multiset_digest=acc.multiset_digest,
-                    sequence_digest=acc.sequence_digest,
+                    sequence_digest=sequence_digest,
                 )
             )
     finally:

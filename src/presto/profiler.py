@@ -12,13 +12,18 @@ import collections
 import hashlib
 import json
 import logging
+import os
+import platform
 import statistics
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import __version__
 from .core import (
@@ -317,6 +322,9 @@ def profile_campaign(
         "created_unix": time.time(),
         "config_digest": _config_digest(pipeline, strategies, config),
         "calibration_units_per_second": calibration,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
         "backend": {
             "kind": backend.config.kind.value,
             "bandwidth": backend.config.bandwidth,
@@ -387,8 +395,22 @@ def campaign_to_dict(campaign: Campaign) -> dict:
 
 
 def save_campaign(campaign: Campaign, path: str | Path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(campaign_to_dict(campaign), indent=2) + "\n")
+    """Write the campaign to a temporary file beside `path`, then rename it
+    into place: a crash or a failed serialization leaves any earlier file
+    at `path` whole, and no temporary file behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(campaign_to_dict(campaign), fh, indent=2)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_campaign(path: str | Path) -> dict:

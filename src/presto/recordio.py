@@ -104,18 +104,19 @@ def _extents(rank: int) -> struct.Struct:
 _EXTENTS = [_extents(rank) for rank in range(MAX_RANK + 1)]
 
 
-def encode_tensor(tensor: Tensor) -> bytes:
+def encode_header(tensor: Tensor) -> bytes:
+    """The tensor payload's header: dtype code, rank and extents."""
     rank = len(tensor.shape)
-    return b"".join(
-        (
-            _TENSOR_HEAD.pack(tensor.dtype.code, rank),
-            _EXTENTS[rank].pack(*tensor.shape),
-            tensor.data,
-        )
-    )
+    return _TENSOR_HEAD.pack(tensor.dtype.code, rank) + _EXTENTS[rank].pack(*tensor.shape)
+
+
+def encode_tensor(tensor: Tensor) -> bytes:
+    return b"".join((encode_header(tensor), tensor.buffer))
 
 
 def decode_tensor(payload: bytes) -> Tensor:
+    """The tensor in a payload; its elements are a view of `payload`, so
+    the tensor keeps the payload (and nothing larger) alive."""
     if len(payload) < 2:
         raise ContainerFormatError("tensor payload shorter than its header")
     code, rank = payload[0], payload[1]
@@ -124,7 +125,7 @@ def decode_tensor(payload: bytes) -> Tensor:
     if len(payload) < dims_end:
         raise ContainerFormatError("tensor payload truncated inside extents")
     extents = _EXTENTS[rank] if rank <= MAX_RANK else _extents(rank)
-    return Tensor(dtype, extents.unpack_from(payload, 2), payload[dims_end:])
+    return Tensor(dtype, extents.unpack_from(payload, 2), memoryview(payload)[dims_end:])
 
 
 def encoded_size(tensor: Tensor) -> int:

@@ -2,18 +2,19 @@
 
 A step's compute_cost is expressed in work units per input byte, where one
 unit is one byte run through the reference checksum loop.  At import time
-nothing is measured; the first step execution calibrates the loop once
+nothing is measured; the first costed step calibrates the loop once
 (bytes/second of zlib.crc32 on this machine) and the constant is reported
 in campaign metadata.
 
-Executing a step with cost c on an n-byte payload always runs one real
-checksum pass over the payload (that pass seeds nothing but keeps the work
-honest and deterministic) and then holds the worker until c*n units worth
-of virtual CPU time has elapsed.  The wait sleeps on a monotonic deadline,
-so parallel workers overlap exactly like cores would, exclusive steps
-serialize under the engine's gate, and the modeled time stays valid on
-machines with any core count.  On a box with enough real cores the timing
-matches a genuine spin within sleep granularity.
+Executing a step with cost c on an n-byte payload takes max(real transform
+time, c*n units of virtual CPU time): the budget is booked on the calling
+thread's Pacer before the real transform runs, and the worker sleeps only
+for what the transform leaves of it.  Each worker thread has its own
+Pacer, so parallel workers overlap exactly like cores would, and a wake-up
+that comes late is credited to that thread's next step, so sleep
+granularity does not pile up over a stream of steps.  Exclusive steps
+serialize under the engine's gate, which is held for the whole budget.
+The modeled time stays valid on machines with any core count.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import zlib
 import numpy as np
 
 from .core import DType, StepKind, StepSpec, Tensor
-from .storage import _sleep_until
+from .storage import Pacer
 
 
 class ShapeMismatchError(ValueError):
@@ -66,27 +67,19 @@ def calibration_units_per_second() -> float:
         return _CAL_RATE
 
 
-def _burn(payload: bytes, units: float) -> None:
-    """Occupy this worker for units/calibration seconds of virtual CPU."""
-    if units <= 0:
-        return
-    t0 = time.perf_counter()
-    budget = units / calibration_units_per_second()
-    if payload:
-        zlib.crc32(payload)
-    _sleep_until_perf(t0 + budget)
+_LANES = threading.local()  # each worker thread's Pacer for modeled CPU time
 
 
-def _sleep_until_perf(deadline: float) -> None:
-    while True:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            return
-        time.sleep(remaining)
+def _cpu_lane() -> Pacer:
+    try:
+        return _LANES.pacer
+    except AttributeError:
+        _LANES.pacer = Pacer(calibration_units_per_second())
+        return _LANES.pacer
 
 
 def _as_bytes_view(t: Tensor) -> np.ndarray:
-    return np.frombuffer(t.data, dtype="<u1")
+    return np.frombuffer(t.buffer, dtype="<u1")
 
 
 def _mix_resample(t: Tensor, out_bytes: int, out_dtype: DType, channels: int | None) -> Tensor:
@@ -114,7 +107,17 @@ def _parse_dtype(value) -> DType:
 
 def execute_step(step: StepSpec, tensor: Tensor, rng: random.Random | None = None) -> Tensor:
     """Run one step on one sample.  rng is consulted only by RandomCrop."""
-    _burn(tensor.data, step.compute_cost * tensor.nbytes)
+    units = step.compute_cost * tensor.nbytes
+    if units <= 0:
+        return _transform(step, tensor, rng)
+    lane = _cpu_lane()
+    finish = lane.reserve(units)
+    out = _transform(step, tensor, rng)
+    lane.wait(finish)
+    return out
+
+
+def _transform(step: StepSpec, tensor: Tensor, rng: random.Random | None) -> Tensor:
     kind = step.kind
 
     if kind is StepKind.INGEST:

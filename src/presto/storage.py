@@ -1,4 +1,4 @@
-"""Storage backends with I/O accounting.
+"""Storage backends with I/O accounting, and the pacer that charges modeled time.
 
 Two backends share one interface: LocalFs passes straight through to the
 filesystem, Simulated adds wall-clock charges on top of real local files so
@@ -6,19 +6,29 @@ a laptop can stand in for a saturated network filesystem.  The simulated
 charges are:
 
   * open_latency seconds per file open,
-  * a token bucket shared by all workers limiting aggregate bytes/second,
-  * a second bucket limiting chunk-granule operations/second (iops).
+  * a bandwidth lane shared by all workers limiting aggregate bytes/second,
+  * an iops lane limiting chunk-granule operations/second.
 
-Both buckets serialize grants, so total observed bandwidth never exceeds
-the configured rate and reading N bytes always takes at least N/bandwidth
-seconds.  A single stream is therefore capped at
-min(bandwidth, chunk * iops_cap).
+Both lanes live in one Pacer.  Each read or write makes one reservation
+covering both: on each lane it starts where that lane's last reservation
+finished, and the caller sleeps once, until the later of the two finishes.
+A wake-up that comes late (by at most Pacer.BURST) is credited to the next
+reservation, so the long-run rate is the configured one however coarsely
+the host sleeps.  A handle's reservations never start before its own first
+request and never overlap the lane's earlier ones, so reading N bytes
+through one handle always takes at least N/bandwidth seconds, total
+observed bandwidth exceeds the configured rate by at most BURST seconds'
+worth, and a single stream is capped at min(bandwidth, chunk * iops_cap).
+
+The same Pacer, one per worker thread, charges the modeled CPU time of
+steps (see steps.py).
 """
 
 from __future__ import annotations
 
 import enum
 import errno
+import math
 import os
 import threading
 import time
@@ -133,33 +143,56 @@ class IoCounters:
             )
 
 
-def _sleep_until(deadline: float) -> None:
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return
-        time.sleep(remaining)
+class Pacer:
+    """Charges modeled time on one or more lanes, each draining at its own
+    rate (units per second).
 
+    reserve() books an amount on every lane at once: on each lane the
+    booking starts where that lane's previous one finished, or later if
+    the lane sat idle, and never before `floor`; it returns the latest
+    finish.  wait() then sleeps until that finish, once.  When the sleep
+    wakes late, the lateness (capped at BURST) becomes credit: the next
+    booking may start that much before the time it is made.  Only late
+    wake-ups earn credit, so work a caller does between bookings is never
+    hidden, and the long-run rate of every lane is the configured one.
+    """
 
-class TokenBucket:
-    """Serializing rate limiter: consume(n) returns once n tokens have been
-    granted at no more than `rate` tokens/second, aggregated over callers."""
+    BURST = 0.002  # most lateness, in seconds, credited to the next booking
 
-    def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be > 0")
-        self._rate = rate
+    def __init__(self, *rates: float) -> None:
+        if not rates or min(rates) <= 0:
+            raise ValueError("rates must be > 0")
+        self._rates = rates
         self._lock = threading.Lock()
-        self._free_at = time.monotonic()
+        self._free_at = [-math.inf] * len(rates)
+        self._credit = 0.0
 
-    def consume(self, tokens: float) -> None:
-        if tokens <= 0:
-            return
+    def reserve(self, *amounts: float, floor: float = -math.inf) -> float:
+        """Book amounts[i] units on lane i; returns when the last lane is done."""
         with self._lock:
-            start = max(time.monotonic(), self._free_at)
-            finish = start + tokens / self._rate
-            self._free_at = finish
-        _sleep_until(finish)
+            earliest = max(time.perf_counter() - self._credit, floor)
+            self._credit = 0.0
+            finish = earliest
+            for lane, (amount, rate) in enumerate(zip(amounts, self._rates)):
+                if amount > 0:
+                    done = max(self._free_at[lane], earliest) + amount / rate
+                    self._free_at[lane] = done
+                    finish = max(finish, done)
+        return finish
+
+    def wait(self, finish: float) -> None:
+        """Sleep until `finish`; lateness on waking becomes credit."""
+        remaining = finish - time.perf_counter()
+        if remaining <= 0:
+            return  # nothing slept, so nothing to credit
+        while remaining > 0:
+            time.sleep(remaining)
+            remaining = finish - time.perf_counter()
+        self._credit = min(-remaining, self.BURST)
+
+    def consume(self, *amounts: float) -> None:
+        """Book amounts starting no earlier than now, and wait them out."""
+        self.wait(self.reserve(*amounts, floor=time.perf_counter()))
 
 
 class _BackendFile:
@@ -171,6 +204,7 @@ class _BackendFile:
         self._mode = mode
         self._consumed = 0  # cumulative payload bytes for iops accounting
         self._ops_charged = 0
+        self._first_request: float | None = None
 
     def read(self, n: int = -1) -> bytes:
         t0 = time.perf_counter()
@@ -178,32 +212,32 @@ class _BackendFile:
             data = self._fh.read(n)
         except OSError as exc:
             raise _wrap_oserror(exc) from exc
-        self._charge(len(data))
+        self._charge(len(data), t0)
         self._backend.counters.add_read(len(data), time.perf_counter() - t0)
         return data
 
     def write(self, data: bytes) -> int:
+        t0 = time.perf_counter()
         try:
             self._fh.write(data)
         except OSError as exc:
             raise _wrap_oserror(exc) from exc
-        self._charge(len(data))
+        self._charge(len(data), t0)
         self._backend.counters.add_write(len(data))
         return len(data)
 
-    def _charge(self, nbytes: int) -> None:
-        if nbytes <= 0:
+    def _charge(self, nbytes: int, requested: float) -> None:
+        """One reservation on the bandwidth and iops lanes, slept once."""
+        pacer = self._backend.pacer
+        if pacer is None or nbytes <= 0:
             return
-        backend = self._backend
-        if backend.config.kind is not BackendKind.SIMULATED:
-            return
-        backend._bandwidth_bucket.consume(nbytes)
+        if self._first_request is None:
+            self._first_request = requested
         self._consumed += nbytes
-        chunk = backend.config.chunk
-        ops_needed = -(-self._consumed // chunk)  # ceil division
-        if ops_needed > self._ops_charged:
-            backend._iops_bucket.consume(ops_needed - self._ops_charged)
-            self._ops_charged = ops_needed
+        ops_needed = -(-self._consumed // self._backend.config.chunk)  # ceil division
+        ops = ops_needed - self._ops_charged
+        self._ops_charged = ops_needed
+        pacer.wait(pacer.reserve(nbytes, ops, floor=self._first_request))
 
     def close(self) -> None:
         try:
@@ -225,9 +259,10 @@ class StorageBackend:
     def __init__(self, config: BackendConfig | None = None) -> None:
         self.config = config or BackendConfig.local()
         self.counters = IoCounters()
+        # lanes: bytes at `bandwidth`, chunk-granule operations at `iops_cap`
+        self.pacer: Pacer | None = None
         if self.config.kind is BackendKind.SIMULATED:
-            self._bandwidth_bucket = TokenBucket(self.config.bandwidth)
-            self._iops_bucket = TokenBucket(self.config.iops_cap)
+            self.pacer = Pacer(self.config.bandwidth, self.config.iops_cap)
 
     def open_read(self, path: str | Path) -> _BackendFile:
         self._charge_open()

@@ -300,6 +300,18 @@ def test_rank_missing_campaign(tmp_path):
     assert main(["rank", "--campaign", str(tmp_path / "none.json")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("verb", ["rank", "report"])
+def test_incomplete_campaign_records_exit_config(tmp_path, capsys, verb):
+    campaign = tmp_path / "thin.json"
+    campaign.write_text(json.dumps({"records": [{"strategy_id": "x"}]}))
+    out_csv = tmp_path / "rep.csv"
+    extra = ["--csv", str(out_csv)] if verb == "report" else []
+    assert main([verb, "--campaign", str(campaign), *extra]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: campaign record 0") and err.count("\n") == 1
+    assert not out_csv.exists()
+
+
 def test_report_writes_csv_rows(finished_campaign, tmp_path, capsys):
     out_csv = tmp_path / "rep.csv"
     rc = main(["report", "--campaign", str(finished_campaign),

@@ -583,3 +583,21 @@ def test_profile_campaign_calibrates_before_materializing(tmp_path, calibration_
     assert len(campaign.records) == 1
     assert calibration_log.count("measure") == 1
     assert calibration_log.index("measure") < calibration_log.index("materialize")
+
+
+def test_epoch_sized_shuffle_buffer_keeps_digests(tmp_path):
+    # a buffer of at least the epoch holds every sample until the epoch
+    # ends; the shuffle then runs over the delivered hashes only
+    desc = make_dataset(tmp_path)
+    pipe = crop_pipeline(desc)
+    mat = materialize(pipe, desc, 2, tmp_path / "m2")
+    want = xor_digest(oracle_outputs(pipe, desc, 5, 1))
+    for p in (1, 4):
+        (ep,) = run(Strategy(split_index=2, shards=3, parallelism=p, shuffle_buffer=64),
+                    pipe, mat, rng_seed=5)
+        assert ep.samples == desc.sample_count
+        assert ep.multiset_digest == want, p
+    # as the engine that pushed whole tensors through the buffer computed it
+    assert ep.sequence_digest is None
+    (ep,) = run(Strategy(split_index=2, shards=3, shuffle_buffer=64), pipe, mat, rng_seed=5)
+    assert ep.sequence_digest == "d5e673731beea821914d5fa8b222a771f7527160a95a20f96928a974694286ba"

@@ -1,6 +1,9 @@
+import os
+import platform
 import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from presto.core import (
@@ -187,6 +190,9 @@ def test_campaign_full_grid(setup):
     assert meta["backend"]["kind"] == "local"
     assert meta["calibration_units_per_second"] > 1e6
     assert len(meta["config_digest"]) == 64
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == np.__version__
+    assert meta["cpu_count"] == os.cpu_count()
     zl = next(
         r for r in campaign.records
         if r.strategy.split_index == 2 and r.strategy.compression is Compression.ZLIB
@@ -261,3 +267,15 @@ def test_profile_config_validation(tmp_path):
         ProfileConfig(repeats=0)
     with pytest.raises(ValueError):
         ProfileConfig(epoch_selector="median")
+
+
+def test_failed_save_keeps_the_previous_campaign(tmp_path):
+    path = tmp_path / "campaign.json"
+    save_campaign(Campaign(records=(), errors=(), metadata={"run": 1}), path)
+    before = path.read_bytes()
+    # serialization fails part way through the document
+    broken = Campaign(records=(), errors=(), metadata={"run": 2, "z": object()})
+    with pytest.raises(TypeError):
+        save_campaign(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["campaign.json"]

@@ -4,6 +4,7 @@ import io
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from presto.recordio import (
     TruncatedRecordError,
     ZeroOriginalError,
     compression_for_path,
+    decode_tensor,
     encode_tensor,
     encoded_size,
     iter_frames,
@@ -323,3 +325,25 @@ def test_length_crc_error_reports_stream_offset_past_a_long_record(tmp_path):
     with pytest.raises(CrcMismatchError) as err:
         list(iter_frames(io.BytesIO(bytes(raw)), "o"))
     assert err.value.offset == first + second
+
+
+# ---------------------------------------------------------------- zero copy
+
+
+def test_tensors_are_read_only_views_with_hashable_data(tmp_path):
+    arr = np.arange(12, dtype=np.int16).reshape(3, 4)
+    built = Tensor.from_numpy(arr)
+    stats = write_container([built, built], tmp_path / "zc")
+    with open(stats.paths[0], "rb") as fh:
+        payload = next(iter_frames(fh, "zc"))[0][0]
+    decoded = decode_tensor(payload)
+    assert np.shares_memory(built.to_numpy(), arr)  # from_numpy kept the array
+    assert decoded.buffer.obj is payload  # decode viewed its record, nothing larger
+    for t in (built, decoded):
+        view = t.to_numpy()
+        assert t.buffer.readonly and not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 1
+        assert t.data == arr.tobytes()
+        assert {t.data} == {arr.tobytes()}
+    assert decoded == built and hash(decoded) == hash(built)

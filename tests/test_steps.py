@@ -200,3 +200,31 @@ def test_compute_cost_scales_step_wall_time():
 def test_ingest_is_identity():
     t = u8(64)
     assert execute_step(spec(StepKind.INGEST), t) == t
+
+
+def test_costed_step_takes_the_larger_of_real_time_and_budget():
+    # the real transform runs inside the modeled budget, not after it
+    payload = u8(4_000_000)
+    cal = calibration_units_per_second()
+
+    def costed(budget):
+        return spec(StepKind.DECODE, ratio=4.0, cost=budget * cal / payload.nbytes,
+                    dtype_out="F32")
+
+    def timed(step):
+        t0 = time.perf_counter()
+        execute_step(step, payload)
+        return time.perf_counter() - t0
+
+    free = costed(0.0)
+    real = min(timed(free) for _ in range(3))
+    over = costed(0.8 * real)  # real work overruns the budget
+    # interleaved, so a slow phase of the host hits both
+    runs = [(timed(free), timed(over)) for _ in range(5)]
+    real = min(r for r, _ in runs)
+    assert min(o for _, o in runs) < 1.4 * real  # 1.8x if the two added up
+
+    budget = max(0.04, 4 * real)  # real work fits well inside the budget
+    under = costed(budget)
+    took = min(timed(under) for _ in range(3))
+    assert 0.95 * budget <= took < budget + 0.5 * real

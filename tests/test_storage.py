@@ -10,8 +10,8 @@ from presto.storage import (
     BackendConfig,
     BackendKind,
     IoFailureError,
+    Pacer,
     StorageBackend,
-    TokenBucket,
     probe_storage,
 )
 
@@ -28,10 +28,10 @@ def simulated(**kw):
     return StorageBackend(BackendConfig(**base))
 
 
-# ---------------------------------------------------------------- token bucket
+# ---------------------------------------------------------------- pacer
 
 def test_token_bucket_lower_bound_is_exact():
-    bucket = TokenBucket(rate=1_000_000)
+    bucket = Pacer(1_000_000)
     t0 = time.monotonic()
     bucket.consume(200_000)
     elapsed = time.monotonic() - t0
@@ -41,7 +41,7 @@ def test_token_bucket_lower_bound_is_exact():
 def test_token_bucket_aggregates_across_threads():
     import threading
 
-    bucket = TokenBucket(rate=2_000_000)
+    bucket = Pacer(2_000_000)
     t0 = time.monotonic()
     threads = [
         threading.Thread(target=bucket.consume, args=(100_000,)) for _ in range(4)
@@ -184,3 +184,37 @@ def test_simulated_default_profile_shape():
     assert cfg.bandwidth == pytest.approx(91_000_000.0)
     assert cfg.open_latency > 0
     assert cfg.kind is BackendKind.SIMULATED
+
+
+@pytest.mark.parametrize(
+    "workers, bandwidth, iops_cap, chunk",
+    [
+        (1, 1_000_000.0, 1e6, 65536),  # bandwidth-bound: 64 KiB reads, 66 ms each
+        (1, 1e9, 250.0, 4096),  # iops-bound: one 4 ms operation per 4 KiB read
+        (2, 2_000_000.0, 1e6, 65536),  # two streams sharing the bandwidth lane
+        (2, 1e9, 500.0, 4096),  # two streams sharing the iops lane
+    ],
+)
+def test_probe_lands_on_closed_form_over_grid(tmp_path, workers, bandwidth, iops_cap, chunk):
+    backend = simulated(bandwidth=bandwidth, iops_cap=iops_cap, chunk=chunk)
+    ceiling = min(bandwidth, chunk * iops_cap)
+    report = probe_storage(
+        backend, workers=workers, files_per_worker=1,
+        total_bytes_per_worker=int(ceiling * 0.25 / workers), root=tmp_path,
+    )
+    assert report.bandwidth == pytest.approx(ceiling, rel=0.05)
+
+
+def test_pacer_credits_late_wakeups_only():
+    pacer = Pacer(1_000.0)  # one unit per millisecond
+    start = time.perf_counter()
+    for _ in range(50):
+        pacer.wait(pacer.reserve(1))  # every 1 ms sleep wakes a little late
+    # the lateness is credited to the next booking, so 50 chained 1 ms
+    # bookings take 50 ms, not 50 x (1 ms + overshoot)
+    assert 0.05 <= time.perf_counter() - start < 0.05 * 1.25
+
+    finish = pacer.reserve(10)
+    time.sleep(0.02)  # work past the booking is owed nothing and earns nothing
+    pacer.wait(finish)
+    assert pacer.reserve(5) >= time.perf_counter() + 0.004
