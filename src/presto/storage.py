@@ -9,16 +9,17 @@ charges are:
   * a bandwidth lane shared by all workers limiting aggregate bytes/second,
   * an iops lane limiting chunk-granule operations/second.
 
-Both lanes live in one Pacer.  Each read or write makes one reservation
-covering both: on each lane it starts where that lane's last reservation
-finished, and the caller sleeps once, until the later of the two finishes.
-A wake-up that comes late (by at most Pacer.BURST) is credited to the next
-reservation, so the long-run rate is the configured one however coarsely
+Both lanes live in one Pacer, a token bucket StorageBackend.BURST seconds
+deep.  Each read or write makes one reservation covering both, booked from
+the moment it was requested so the real I/O counts against it: on each lane
+it starts where that lane's last reservation finished, or up to BURST
+earlier if the lane sat idle, and the caller sleeps once, until the later of
+the two finishes.  The bank absorbs late wake-ups and a reader's own work
+between reads, so the long-run rate is the configured one however coarsely
 the host sleeps.  A handle's reservations never start before its own first
 request and never overlap the lane's earlier ones, so reading N bytes
-through one handle always takes at least N/bandwidth seconds, total
-observed bandwidth exceeds the configured rate by at most BURST seconds'
-worth, and a single stream is capped at min(bandwidth, chunk * iops_cap).
+through one handle always takes at least N/bandwidth seconds, and a single
+stream is capped at min(bandwidth, chunk * iops_cap).
 
 The same Pacer, one per worker thread, charges the modeled CPU time of
 steps (see steps.py).
@@ -148,36 +149,50 @@ class Pacer:
     rate (units per second).
 
     reserve() books an amount on every lane at once: on each lane the
-    booking starts where that lane's previous one finished, or later if
-    the lane sat idle, and never before `floor`; it returns the latest
-    finish.  wait() then sleeps until that finish, once.  When the sleep
-    wakes late, the lateness (capped at BURST) becomes credit: the next
-    booking may start that much before the time it is made.  Only late
-    wake-ups earn credit, so work a caller does between bookings is never
-    hidden, and the long-run rate of every lane is the configured one.
+    booking starts where that lane's previous one finished, or at the
+    request if the lane sat idle, and never before `floor`; it returns the
+    latest finish.  wait() then sleeps until that finish, once.  When the
+    sleep wakes late, the lateness (capped at MAX_CREDIT) becomes the
+    calling thread's credit: its next booking may start that much before it
+    was requested, and lateness that booking does not use up stays owed to
+    the one after.  Only late wake-ups earn credit, so work a caller does
+    between bookings is not hidden, and the long-run rate of every lane is
+    the configured one.
+
+    A Pacer built with burst > 0 is a token bucket of that depth: a lane
+    banks up to `burst` seconds of its idle time, so a booking may start
+    that long before it was requested (and still never before `floor`).
     """
 
-    BURST = 0.002  # most lateness, in seconds, credited to the next booking
+    MAX_CREDIT = 0.002  # most lateness, in seconds, credited to the next booking
 
-    def __init__(self, *rates: float) -> None:
+    def __init__(self, *rates: float, burst: float = 0.0) -> None:
         if not rates or min(rates) <= 0:
             raise ValueError("rates must be > 0")
+        if burst < 0:
+            raise ValueError("burst must be >= 0")
         self._rates = rates
+        self._burst = burst
         self._lock = threading.Lock()
         self._free_at = [-math.inf] * len(rates)
-        self._credit = 0.0
+        self._owed = threading.local()  # .credit: this thread's unpaid lateness
 
-    def reserve(self, *amounts: float, floor: float = -math.inf) -> float:
-        """Book amounts[i] units on lane i; returns when the last lane is done."""
+    def reserve(
+        self, *amounts: float, floor: float = -math.inf, at: float | None = None
+    ) -> float:
+        """Book amounts[i] units on lane i for a request made at `at` (by
+        default now); returns when the last lane is done."""
+        requested = time.perf_counter() if at is None else at
+        credit = getattr(self._owed, "credit", 0.0)
         with self._lock:
-            earliest = max(time.perf_counter() - self._credit, floor)
-            self._credit = 0.0
+            earliest = max(requested - max(credit, self._burst), floor)
             finish = earliest
             for lane, (amount, rate) in enumerate(zip(amounts, self._rates)):
                 if amount > 0:
                     done = max(self._free_at[lane], earliest) + amount / rate
                     self._free_at[lane] = done
                     finish = max(finish, done)
+        self._owed.credit = min(credit, max(0.0, requested - finish))
         return finish
 
     def wait(self, finish: float) -> None:
@@ -188,7 +203,7 @@ class Pacer:
         while remaining > 0:
             time.sleep(remaining)
             remaining = finish - time.perf_counter()
-        self._credit = min(-remaining, self.BURST)
+        self._owed.credit = min(-remaining, self.MAX_CREDIT)
 
     def consume(self, *amounts: float) -> None:
         """Book amounts starting no earlier than now, and wait them out."""
@@ -237,7 +252,7 @@ class _BackendFile:
         ops_needed = -(-self._consumed // self._backend.config.chunk)  # ceil division
         ops = ops_needed - self._ops_charged
         self._ops_charged = ops_needed
-        pacer.wait(pacer.reserve(nbytes, ops, floor=self._first_request))
+        pacer.wait(pacer.reserve(nbytes, ops, floor=self._first_request, at=requested))
 
     def close(self) -> None:
         try:
@@ -256,13 +271,15 @@ class StorageBackend:
     """Reads and writes real local files, optionally charging simulated
     delays.  Metadata operations (size, exists) are free."""
 
+    BURST = 0.010  # seconds of idle time a simulated lane banks, as a token bucket
+
     def __init__(self, config: BackendConfig | None = None) -> None:
         self.config = config or BackendConfig.local()
         self.counters = IoCounters()
         # lanes: bytes at `bandwidth`, chunk-granule operations at `iops_cap`
         self.pacer: Pacer | None = None
         if self.config.kind is BackendKind.SIMULATED:
-            self.pacer = Pacer(self.config.bandwidth, self.config.iops_cap)
+            self.pacer = Pacer(self.config.bandwidth, self.config.iops_cap, burst=self.BURST)
 
     def open_read(self, path: str | Path) -> _BackendFile:
         self._charge_open()
@@ -362,20 +379,29 @@ def probe_storage(
         paths.append(row)
 
     before = backend.counters.snapshot()
-    start = time.perf_counter()
+    # the read phase is timed inside the workers, from a common start to the
+    # last read, so thread start-up and join latency are not charged to it
+    ready = threading.Barrier(workers)
+    starts: list[float] = []
+    ends: list[float] = []
 
     def read_worker(w: int) -> None:
-        for p in paths[w]:
-            with backend.open_read(p) as fh:
-                while fh.read(backend.config.chunk):
-                    pass
+        ready.wait()
+        starts.append(time.perf_counter())
+        try:
+            for p in paths[w]:
+                with backend.open_read(p) as fh:
+                    while fh.read(backend.config.chunk):
+                        pass
+        finally:
+            ends.append(time.perf_counter())
 
     threads = [threading.Thread(target=read_worker, args=(w,)) for w in range(workers)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    seconds = time.perf_counter() - start
+    seconds = max(ends) - min(starts)
     delta = backend.counters.snapshot().delta(before)
 
     if cleanup:

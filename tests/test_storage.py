@@ -217,4 +217,18 @@ def test_pacer_credits_late_wakeups_only():
     finish = pacer.reserve(10)
     time.sleep(0.02)  # work past the booking is owed nothing and earns nothing
     pacer.wait(finish)
-    assert pacer.reserve(5) >= time.perf_counter() + 0.004
+    before = time.perf_counter()
+    assert pacer.reserve(5) >= before + 0.005
+
+
+def test_pacer_burst_banks_idle_time_but_never_passes_the_floor():
+    pacer = Pacer(1_000.0, burst=0.010)  # one unit per millisecond, 10 ms deep
+    requested = time.perf_counter()
+    # an idle lane has banked 10 ms, so a 5 ms booking is already done
+    assert pacer.reserve(5, at=requested) == pytest.approx(requested - 0.005, abs=1e-9)
+    # the next booking runs on from where the lane stands, not from the bank
+    assert pacer.reserve(10, at=requested) == pytest.approx(requested + 0.005, abs=1e-9)
+    floor = time.perf_counter() + 1.0
+    assert pacer.reserve(1, floor=floor) == pytest.approx(floor + 0.001, abs=1e-9)
+    with pytest.raises(ValueError):
+        Pacer(1_000.0, burst=-1.0)
