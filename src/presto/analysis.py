@@ -14,9 +14,10 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import ObjectiveWeights
+from .profiler import Campaign, ProfileRecord, campaign_to_dict
 
 CSV_COLUMNS = [
     "strategy",
@@ -70,18 +71,6 @@ def normalize(values: Sequence[float]) -> list[float]:
     return [(v - lo) / span for v in floats]
 
 
-def _field(record, name: str):
-    if isinstance(record, Mapping):
-        return record[name]
-    return getattr(record, name)
-
-
-def _split_of(record) -> int:
-    if isinstance(record, Mapping):
-        return record["strategy"]["split_index"]
-    return record.strategy.split_index
-
-
 @dataclass(frozen=True)
 class RankedEntry:
     rank: int
@@ -113,13 +102,13 @@ class StrategyRanking:
         raise KeyError(strategy_id)
 
 
-def score_and_rank(records: Sequence, weights: ObjectiveWeights | None = None) -> StrategyRanking:
+def score_and_rank(
+    records: Sequence[ProfileRecord], weights: ObjectiveWeights | None = None
+) -> StrategyRanking:
     """Rank profiled strategies; lowest score wins rank 1.
 
     Ties break toward the earlier split, then the smaller footprint, then
     the lexicographic strategy id, so a ranking is always a total order.
-    Records may be ProfileRecord objects or their dict form from a saved
-    campaign document.
     """
     weights = weights or ObjectiveWeights()
     if any(w < 0 for w in weights.as_tuple()):
@@ -127,28 +116,28 @@ def score_and_rank(records: Sequence, weights: ObjectiveWeights | None = None) -
     if len(records) == 0:
         raise EmptyVectorError("no records to rank")
 
-    p_hat = normalize([_field(r, "preprocessing_seconds") for r in records])
-    s_hat = normalize([_field(r, "storage_bytes") for r in records])
-    t_hat = normalize([_field(r, "throughput_sps") for r in records])
+    p_hat = normalize([r.preprocessing_seconds for r in records])
+    s_hat = normalize([r.storage_bytes for r in records])
+    t_hat = normalize([r.throughput_sps for r in records])
     w_p, w_s, w_t = weights.as_tuple()
 
     scored = []
     for r, p, s, t in zip(records, p_hat, s_hat, t_hat):
         score = w_p * p + w_s * s + w_t * (1.0 - t)
-        scored.append((score, _split_of(r), _field(r, "storage_bytes"),
-                       _field(r, "strategy_id"), r, p, s, t))
+        scored.append((score, r.strategy.split_index, r.storage_bytes,
+                       r.strategy_id, r, p, s, t))
     scored.sort(key=lambda row: row[:4])
 
     entries = tuple(
         RankedEntry(
             rank=i + 1,
             strategy_id=row[3],
-            label=_field(row[4], "label"),
+            label=row[4].label,
             split_index=row[1],
             score=row[0],
-            preprocessing_seconds=_field(row[4], "preprocessing_seconds"),
+            preprocessing_seconds=row[4].preprocessing_seconds,
             storage_bytes=row[2],
-            throughput_sps=_field(row[4], "throughput_sps"),
+            throughput_sps=row[4].throughput_sps,
             norm_preprocessing=row[5],
             norm_storage=row[6],
             norm_throughput=row[7],
@@ -194,22 +183,12 @@ def classify_bottleneck(
 # ------------------------------------------------------------------- reports
 
 
-def _doc_records(campaign_or_doc) -> tuple[list, dict]:
-    if isinstance(campaign_or_doc, Mapping):
-        return list(campaign_or_doc["records"]), dict(campaign_or_doc.get("metadata", {}))
-    from .profiler import campaign_to_dict  # deferred to keep imports one-way
-
-    doc = campaign_to_dict(campaign_or_doc)
-    return list(doc["records"]), dict(doc["metadata"])
-
-
-def emit_report_csv(campaign_or_doc, ranking: StrategyRanking, path: str | Path) -> int:
+def emit_report_csv(campaign: Campaign, ranking: StrategyRanking, path: str | Path) -> int:
     """One row per strategy x repeat x epoch; returns the row count.
 
     Floats are written with repr so a parse of the file reproduces the
     measured values bit for bit.
     """
-    records, _ = _doc_records(campaign_or_doc)
     by_id = {e.strategy_id: e for e in ranking.entries}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -217,24 +196,24 @@ def emit_report_csv(campaign_or_doc, ranking: StrategyRanking, path: str | Path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            entry = by_id[rec["strategy_id"]]
-            st = rec["strategy"]
-            for repeat_idx, epochs in enumerate(rec["repeats"], start=1):
+        for rec in campaign.records:
+            entry = by_id[rec.strategy_id]
+            st = rec.strategy
+            for repeat_idx, epochs in enumerate(rec.repeats, start=1):
                 for ep in epochs:
                     writer.writerow([
-                        rec["strategy_id"],
-                        st["split_index"],
-                        st["compression"],
-                        st["parallelism"],
-                        st["cache_mode"],
-                        ep["epoch"],
+                        rec.strategy_id,
+                        st.split_index,
+                        st.compression.value,
+                        st.parallelism,
+                        st.cache_mode.value,
+                        ep.epoch,
                         repeat_idx,
-                        repr(float(rec["preprocessing_seconds"])),
-                        rec["storage_bytes"],
-                        repr(float(ep["throughput"])),
-                        ep["bytes_read"],
-                        ep["bytes_written"],
+                        repr(float(rec.preprocessing_seconds)),
+                        rec.storage_bytes,
+                        repr(float(ep.throughput)),
+                        ep.io.bytes_read,
+                        ep.io.bytes_written,
                         repr(float(entry.score)),
                         entry.rank,
                     ])
@@ -242,17 +221,17 @@ def emit_report_csv(campaign_or_doc, ranking: StrategyRanking, path: str | Path)
     return rows
 
 
-def emit_report_json(campaign_or_doc, ranking: StrategyRanking, path: str | Path) -> None:
-    records, metadata = _doc_records(campaign_or_doc)
+def emit_report_json(campaign: Campaign, ranking: StrategyRanking, path: str | Path) -> None:
+    saved = campaign_to_dict(campaign)
     doc = {
-        "metadata": metadata,
+        "metadata": saved["metadata"],
         "weights": {
             "preprocessing": ranking.weights.w_p,
             "storage": ranking.weights.w_s,
             "throughput": ranking.weights.w_t,
         },
         "ranking": [asdict(e) for e in ranking.entries],
-        "records": records,
+        "records": saved["records"],
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -6,8 +6,14 @@ codes: 0 success, 1 campaign-level failures, 2 bad configuration or IO,
 130 interrupted.
 
 Profile settings come from a JSON config file; command line flags override
-config values, which override defaults.  The config is fully validated
-before anything touches the file system.
+config values, which override defaults.  The flags are written into the
+config document, and `validate_config` builds from it the objects the
+campaign runs with, so the dataclasses' own checks see every value before
+anything touches the file system.  `rank` and `report` read a saved
+campaign with `profiler.load_campaign`, which returns a typed, checked
+`Campaign`, and then make the same ranking and report calls as `profile`.
+A bad config, flag value or campaign file exits 2 with one `error:` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import emit_report_csv, emit_report_json, score_and_rank
@@ -26,11 +32,14 @@ from .core import (
     Compression,
     ObjectiveWeights,
     OptionGrid,
+    Pipeline,
     enumerate_strategies,
 )
 from .engine import RunConfig
 from .profiler import (
     AllStrategiesFailedError,
+    Campaign,
+    CampaignFormatError,
     ProfileConfig,
     load_campaign,
     profile_campaign,
@@ -105,110 +114,104 @@ def _check_keys(doc: dict, allowed: dict, where: str) -> None:
             raise ConfigError(f"{where}: {key} must be {names}, got {type(value).__name__}")
 
 
-def validate_config(doc: dict) -> dict:
-    """Type- and value-check a profile config document; no file system use."""
+@dataclass(frozen=True)
+class ProfileSetup:
+    """What a checked profile config asks for."""
+
+    preset: str
+    pipeline: Pipeline
+    backend: BackendConfig
+    grid: OptionGrid
+    splits: tuple[int, ...]  # empty: every legal split
+    profile: ProfileConfig
+    weights: ObjectiveWeights
+    out_dir: Path
+    generate: bool
+
+
+_GRID_ENUMS = {"compressions": Compression, "cache_modes": CacheMode}
+
+
+def validate_config(doc: dict) -> ProfileSetup:
+    """Build what a profile config document asks for; no file system use.
+
+    This checks the JSON types here and leaves every range and enum check
+    to the constructors, whose ValueError becomes a ConfigError.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     _check_keys(doc, _CONFIG_KEYS, "config")
-
-    merged = dict(doc)
-    name = merged.get("preset")
-    if not name:
-        raise ConfigError("config: 'preset' is required")
-    if name not in PRESET_NAMES:
-        raise ConfigError(f"config: unknown preset {name!r}")
-
-    backend = merged.get("backend") or {}
-    _check_keys(backend, _BACKEND_KEYS, "config.backend")
-    kind = backend.get("kind", "simulated")
-    if kind not in ("local", "simulated"):
-        raise ConfigError(f"config.backend: kind must be local or simulated, got {kind!r}")
-    for numeric in ("bandwidth", "open_latency", "iops_cap", "chunk"):
-        v = backend.get(numeric)
-        if v is not None and v <= 0 and numeric != "open_latency":
-            raise ConfigError(f"config.backend: {numeric} must be positive")
-        if numeric == "open_latency" and v is not None and v < 0:
-            raise ConfigError("config.backend: open_latency must be >= 0")
-
-    grid = merged.get("grid") or {}
-    _check_keys(grid, _GRID_KEYS, "config.grid")
-    comp_names = {c.value for c in Compression}
-    for c in grid.get("compressions") or []:
-        if c not in comp_names:
-            raise ConfigError(f"config.grid: unknown compression {c!r}")
-    cache_names = {c.value for c in CacheMode}
-    for c in grid.get("cache_modes") or []:
-        if c not in cache_names:
-            raise ConfigError(f"config.grid: unknown cache mode {c!r}")
-    for axis in ("shards", "parallelisms", "shuffle_buffers", "splits"):
-        for v in grid.get(axis) or []:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ConfigError(f"config.grid: {axis} entries must be ints >= 0")
-            if axis in ("shards", "parallelisms") and v < 1:
-                raise ConfigError(f"config.grid: {axis} entries must be >= 1")
-
-    weights = merged.get("weights")
-    if weights is not None:
-        if len(weights) != 3 or any(
-            not isinstance(w, (int, float)) or isinstance(w, bool) for w in weights
-        ):
-            raise ConfigError("config: weights must be three numbers")
-        if any(w < 0 for w in weights):
-            raise ConfigError("config: weights must be non-negative")
-
-    for positive in ("epochs", "repeats", "sample_limit", "memory_budget", "total_bytes"):
-        v = merged.get(positive)
-        if v is not None and v < 1:
-            raise ConfigError(f"config: {positive} must be >= 1")
-    sel = merged.get("epoch_selector")
-    if sel is not None and sel not in ("first", "last", "mean"):
-        raise ConfigError(f"config: epoch_selector must be first/last/mean, got {sel!r}")
-    return merged
-
-
-def build_backend(doc: dict) -> StorageBackend:
     doc = {k: v for k, v in doc.items() if v is not None}
-    kind = BackendKind.SIMULATED if doc.get("kind", "simulated") == "simulated" else BackendKind.LOCAL
-    if kind is BackendKind.LOCAL:
-        return StorageBackend(BackendConfig(kind=kind))
-    base = BackendConfig.simulated_default()
-    return StorageBackend(
-        BackendConfig(
-            kind=kind,
-            bandwidth=float(doc.get("bandwidth", base.bandwidth)),
-            open_latency=float(doc.get("open_latency", base.open_latency)),
-            iops_cap=float(doc.get("iops_cap", base.iops_cap)),
-            chunk=int(doc.get("chunk", base.chunk)),
+    backend = doc.get("backend", {})
+    _check_keys(backend, _BACKEND_KEYS, "config.backend")
+    grid = doc.get("grid", {})
+    _check_keys(grid, _GRID_KEYS, "config.grid")
+    splits = tuple(grid.get("splits") or ())
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in splits):
+        raise ConfigError("config.grid: splits entries must be ints >= 0")
+    name = doc.get("preset")
+    if name is None:
+        raise ConfigError("config: 'preset' is required")
+
+    backend = build_backend(backend)
+    weights = _weights(doc.get("weights", [0.0, 0.0, 1.0]))
+    home = default_home()
+    out_dir = Path(doc.get("out_dir") or home / "campaigns" / name)
+    try:
+        pipeline, _ = preset(
+            name, root=doc.get("dataset_root") or home / "datasets" / name,
+            total_bytes=doc.get("total_bytes"), seed=doc.get("seed", 0),
         )
-    )
+        grid = OptionGrid(**{
+            axis: tuple(_GRID_ENUMS[axis](v) if axis in _GRID_ENUMS else v for v in values)
+            for axis, values in grid.items() if axis != "splits" and values
+        })
+        run = RunConfig(
+            epochs=doc.get("epochs", 2),
+            sample_limit=doc.get("sample_limit"),
+            memory_budget=doc.get("memory_budget", 2_000_000_000),
+            rng_seed=doc.get("rng_seed", 0),
+            collect_digests=doc.get("collect_digests", True),
+        )
+        profile = ProfileConfig(
+            run=run,
+            repeats=doc.get("repeats", 3),
+            epoch_selector=doc.get("epoch_selector", "first"),
+            workdir=out_dir / "work",
+            keep_artifacts=doc.get("keep_artifacts", False),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from None
+    return ProfileSetup(name, pipeline, backend, grid, splits, profile, weights, out_dir,
+                        doc.get("generate", True))
 
 
-def build_grid(doc: dict) -> OptionGrid:
-    kw = {}
-    if doc.get("compressions"):
-        kw["compressions"] = tuple(Compression(c) for c in doc["compressions"])
-    if doc.get("shards"):
-        kw["shards"] = tuple(doc["shards"])
-    if doc.get("parallelisms"):
-        kw["parallelisms"] = tuple(doc["parallelisms"])
-    if doc.get("cache_modes"):
-        kw["cache_modes"] = tuple(CacheMode(c) for c in doc["cache_modes"])
-    if doc.get("shuffle_buffers"):
-        kw["shuffle_buffers"] = tuple(doc["shuffle_buffers"])
-    return OptionGrid(**kw)
+def build_backend(doc: dict) -> BackendConfig:
+    """The backend a config's backend object or the probe flags ask for;
+    a value left out (or None) keeps the default."""
+    given = {k: v for k, v in doc.items() if v is not None}
+    try:
+        return BackendConfig(kind=BackendKind(given.pop("kind", "simulated")), **given)
+    except ValueError as exc:
+        raise ConfigError(f"backend: {exc}") from None
+
+
+def _weights(values: list) -> ObjectiveWeights:
+    """ObjectiveWeights, which leaves its values to score_and_rank to check;
+    checked here so a campaign never runs under weights it cannot rank by."""
+    if len(values) != 3 or any(
+        isinstance(w, bool) or not isinstance(w, (int, float)) or not w >= 0 for w in values
+    ):
+        raise ConfigError(f"weights must be three non-negative numbers, got {values!r}")
+    return ObjectiveWeights(*values)
 
 
 def parse_weights(text: str) -> ObjectiveWeights:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"weights must be three comma-separated numbers, got {text!r}")
     try:
-        w = [float(p) for p in parts]
+        values = [float(p) for p in text.split(",")]
     except ValueError:
         raise ConfigError(f"weights must be numeric, got {text!r}") from None
-    if any(x < 0 for x in w):
-        raise ConfigError("weights must be non-negative")
-    return ObjectiveWeights(*w)
+    return _weights(values)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -217,7 +220,10 @@ def parse_weights(text: str) -> ObjectiveWeights:
 def cmd_generate(args) -> int:
     info = preset_info(args.preset)
     root = Path(args.root) if args.root else default_home() / "datasets" / args.preset
-    pipe, desc = preset(args.preset, root=root, total_bytes=args.total_bytes, seed=args.seed)
+    try:
+        _, desc = preset(args.preset, root=root, total_bytes=args.total_bytes, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     generate_for(desc, args.compressibility if args.compressibility is not None
                  else info.compressibility)
     manifest = {
@@ -237,20 +243,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    backend = build_backend({
+    backend = StorageBackend(build_backend({
         "kind": args.backend,
         "bandwidth": args.bandwidth,
         "open_latency": args.open_latency,
         "iops_cap": args.iops_cap,
         "chunk": args.chunk,
-    })
+    }))
     root = Path(args.root) if args.root else default_home() / "probe"
     rows = []
     for workers in args.workers:
         for files in args.files_per_worker:
-            report = probe_storage(
-                backend, workers, files, args.bytes_per_worker, root
-            )
+            try:
+                report = probe_storage(backend, workers, files, args.bytes_per_worker, root)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
             rows.append(report.to_row())
             print(
                 f"workers={workers:3d} files={files:4d} "
@@ -286,76 +293,48 @@ def cmd_profile(args) -> int:
         doc = json.loads(Path(args.config).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    cfg = validate_config(doc)
-
-    # flags override config
-    if args.epochs is not None:
-        cfg["epochs"] = args.epochs
-    if args.repeats is not None:
-        cfg["repeats"] = args.repeats
-    if args.out_dir is not None:
-        cfg["out_dir"] = args.out_dir
+    # flags override the config, and are checked with it
+    flags = {"epochs": args.epochs, "repeats": args.repeats, "out_dir": args.out_dir}
     if args.weights is not None:
-        w = parse_weights(args.weights)
-        cfg["weights"] = [w.w_p, w.w_s, w.w_t]
+        flags["weights"] = list(parse_weights(args.weights).as_tuple())
+    if isinstance(doc, dict):
+        doc.update((k, v) for k, v in flags.items() if v is not None)
+    setup = validate_config(doc)
 
-    out_dir = Path(cfg.get("out_dir") or default_home() / "campaigns" / cfg["preset"])
-    dataset_root = Path(cfg.get("dataset_root") or default_home() / "datasets" / cfg["preset"])
-    info = preset_info(cfg["preset"])
-    pipe, desc = preset(
-        cfg["preset"], root=dataset_root,
-        total_bytes=cfg.get("total_bytes"), seed=cfg.get("seed", 0),
-    )
-    backend = build_backend(cfg.get("backend") or {})
+    strategies = enumerate_strategies(setup.pipeline, setup.grid)
+    if setup.splits:
+        strategies = [s for s in strategies if s.split_index in setup.splits]
+        if not strategies:
+            raise ConfigError("config.grid.splits excluded every legal strategy")
 
+    desc = setup.pipeline.source
     try:
         missing = not source_paths(desc)[0].exists()
     except FileNotFoundError:
         missing = True
     if missing:
-        if cfg.get("generate", True):
-            print(f"generating dataset under {dataset_root}")
-            generate_for(desc, info.compressibility)
-        else:
-            raise ConfigError(f"dataset missing under {dataset_root} and generate=false")
+        if not setup.generate:
+            raise ConfigError(f"dataset missing under {desc.root} and generate=false")
+        print(f"generating dataset under {desc.root}")
+        generate_for(desc, preset_info(setup.preset).compressibility)
 
-    strategies = enumerate_strategies(pipe, build_grid(cfg.get("grid") or {}))
-    wanted_splits = (cfg.get("grid") or {}).get("splits")
-    if wanted_splits:
-        strategies = [s for s in strategies if s.split_index in wanted_splits]
-        if not strategies:
-            raise ConfigError("config.grid.splits excluded every legal strategy")
-
-    run = RunConfig(
-        epochs=cfg.get("epochs", 2),
-        sample_limit=cfg.get("sample_limit"),
-        memory_budget=cfg.get("memory_budget", 2_000_000_000),
-        rng_seed=cfg.get("rng_seed", 0),
-        collect_digests=cfg.get("collect_digests", True),
+    print(f"profiling {len(strategies)} strategies of preset {setup.preset}")
+    campaign = profile_campaign(
+        setup.pipeline, strategies, StorageBackend(setup.backend), setup.profile
     )
-    pcfg = ProfileConfig(
-        run=run,
-        repeats=cfg.get("repeats", 3),
-        epoch_selector=cfg.get("epoch_selector", "first"),
-        workdir=out_dir / "work",
-        keep_artifacts=cfg.get("keep_artifacts", False),
-    )
-    print(f"profiling {len(strategies)} strategies of preset {cfg['preset']}")
-    campaign = profile_campaign(pipe, strategies, backend, pcfg)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    campaign_path = out_dir / "campaign.json"
+    setup.out_dir.mkdir(parents=True, exist_ok=True)
+    campaign_path = setup.out_dir / "campaign.json"
     save_campaign(campaign, campaign_path)
     print(f"wrote {campaign_path} ({len(campaign.records)} records, "
           f"{len(campaign.errors)} failures)")
 
     if campaign.records:
-        weights = ObjectiveWeights(*cfg.get("weights", [0.0, 0.0, 1.0]))
-        ranking = score_and_rank(campaign.records, weights)
-        emit_report_csv(campaign, ranking, out_dir / "report.csv")
-        emit_report_json(campaign, ranking, out_dir / "report.json")
+        ranking = score_and_rank(campaign.records, setup.weights)
+        emit_report_csv(campaign, ranking, setup.out_dir / "report.csv")
+        emit_report_json(campaign, ranking, setup.out_dir / "report.json")
         _print_ranking(ranking)
 
     if campaign.metadata.get("interrupted"):
@@ -365,91 +344,38 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-# what rank and report read of each saved record, and what report reads
-# of each of its epochs
-_RECORD_FIELDS = {
-    "strategy_id": str,
-    "label": str,
-    "preprocessing_seconds": (int, float),
-    "storage_bytes": int,
-    "throughput_sps": (int, float),
-    "strategy": dict,
-}
-_STRATEGY_FIELDS = {
-    "split_index": int,
-    "compression": str,
-    "parallelism": int,
-    "cache_mode": str,
-}
-_EPOCH_FIELDS = {
-    "epoch": int,
-    "throughput": (int, float),
-    "bytes_read": int,
-    "bytes_written": int,
-}
-
-
-def _require(doc, fields: dict, where: str) -> None:
-    """ConfigError unless `doc` is an object holding every field, typed."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object")
-    for key, want in fields.items():
-        value = doc.get(key)
-        if value is None:
-            raise ConfigError(f"{where}: missing {key!r}")
-        if isinstance(value, bool) or not isinstance(value, want):
-            names = want.__name__ if isinstance(want, type) else "number"
-            raise ConfigError(f"{where}: {key} must be {names}, got {type(value).__name__}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
-
-
-def _checked_campaign(path: str, verb: str, epochs: bool) -> dict:
-    """The saved campaign at `path`, checked to hold what `verb` reads:
-    the ranking fields of every record, and its epochs when `epochs`."""
+def _saved_campaign(path: str, verb: str) -> Campaign:
+    """The campaign saved at `path`, with records to `verb`."""
     try:
-        doc = load_campaign(path)
+        campaign = load_campaign(path)
     except FileNotFoundError:
         raise ConfigError(f"campaign file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"campaign is not valid JSON: {exc}")
-    records = doc.get("records") if isinstance(doc, dict) else None
-    if not records:
+    except CampaignFormatError as exc:
+        raise ConfigError(str(exc)) from None
+    if not campaign.records:
         raise ConfigError(f"campaign has no records to {verb}")
-    if not isinstance(records, list):
-        raise ConfigError("campaign: records must be a list")
-    for i, rec in enumerate(records):
-        where = f"campaign record {i}"
-        _require(rec, _RECORD_FIELDS, where)
-        _require(rec["strategy"], _STRATEGY_FIELDS, f"{where}.strategy")
-        if not epochs:
-            continue
-        repeats = rec.get("repeats")
-        if not isinstance(repeats, list) or not all(isinstance(r, list) for r in repeats):
-            raise ConfigError(f"{where}: repeats must be a list of epoch lists")
-        for r, eps in enumerate(repeats):
-            for e, ep in enumerate(eps):
-                _require(ep, _EPOCH_FIELDS, f"{where}.repeats[{r}][{e}]")
-    return doc
+    return campaign
 
 
 def cmd_rank(args) -> int:
-    doc = _checked_campaign(args.campaign, "rank", epochs=False)
-    ranking = score_and_rank(doc["records"], parse_weights(args.weights))
+    campaign = _saved_campaign(args.campaign, "rank")
+    ranking = score_and_rank(campaign.records, parse_weights(args.weights))
     _print_ranking(ranking)
     if args.json:
-        emit_report_json(doc, ranking, args.json)
+        emit_report_json(campaign, ranking, args.json)
         print(f"wrote {args.json}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    doc = _checked_campaign(args.campaign, "report", epochs=True)
-    ranking = score_and_rank(doc["records"], parse_weights(args.weights))
-    rows = emit_report_csv(doc, ranking, args.csv)
+    campaign = _saved_campaign(args.campaign, "report")
+    ranking = score_and_rank(campaign.records, parse_weights(args.weights))
+    rows = emit_report_csv(campaign, ranking, args.csv)
     print(f"wrote {args.csv} ({rows} rows)")
     if args.json:
-        emit_report_json(doc, ranking, args.json)
+        emit_report_json(campaign, ranking, args.json)
         print(f"wrote {args.json}")
     return EXIT_OK
 

@@ -345,6 +345,10 @@ class OptionGrid:
     def __post_init__(self) -> None:
         for name in ("compressions", "shards", "parallelisms", "cache_modes", "shuffle_buffers"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name, low in (("shards", 1), ("parallelisms", 1), ("shuffle_buffers", 0)):
+            if any(isinstance(v, bool) or not isinstance(v, int) or v < low
+                   for v in getattr(self, name)):
+                raise ValueError(f"{name} entries must be ints >= {low}")
 
 
 def enumerate_strategies(pipeline: Pipeline, grid: OptionGrid) -> list[Strategy]:

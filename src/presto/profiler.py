@@ -9,9 +9,11 @@ failures, and keep enough metadata to reproduce the numbers.
 from __future__ import annotations
 
 import collections
+import enum
 import hashlib
 import json
 import logging
+import math
 import os
 import platform
 import statistics
@@ -27,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    CacheMode,
     Compression,
     ExecMode,
     Pipeline,
@@ -36,10 +39,17 @@ from .core import (
     strategy_label,
     validate_strategy,
 )
-from .engine import EpochStats, MaterializedDataset, RunConfig, run_online
+from .engine import (
+    CacheOutcome,
+    EpochStats,
+    MaterializedDataset,
+    RunConfig,
+    _read_file_bytes,
+    run_online,
+)
 from .recordio import read_container, write_container
 from .steps import calibration_units_per_second, execute_step
-from .storage import StorageBackend
+from .storage import IoSnapshot, StorageBackend
 from . import workloads
 
 log = logging.getLogger(__name__)
@@ -76,18 +86,6 @@ class MaterializeStats:
     seconds: float
     bytes_written: int
     sample_count: int
-
-
-def _read_sample_file(backend: StorageBackend, path, dtype) -> Tensor:
-    parts = []
-    with backend.open_read(path) as fh:
-        while True:
-            chunk = fh.read(1 << 16)
-            if not chunk:
-                break
-            parts.append(chunk)
-    blob = b"".join(parts)
-    return Tensor(dtype, (len(blob) // dtype.width,), blob)
 
 
 def _ordered_parallel(
@@ -149,7 +147,8 @@ def materialize(
     else:
         # One open per sample, so the reads must overlap too.
         def load(p) -> Tensor:
-            return transform(_read_sample_file(backend, p, source.dtype))
+            blob = _read_file_bytes(backend, p)
+            return transform(Tensor(source.dtype, (len(blob) // source.dtype.width,), blob))
 
         stream = _ordered_parallel(paths, load, strategy.parallelism)
     stats = write_container(
@@ -342,6 +341,44 @@ def profile_campaign(
 
 
 # ------------------------------------------------------------- serialization
+#
+# The campaign document: campaign_to_dict writes it and campaign_from_dict
+# reads it back, one function per level (epoch, strategy, record) each
+# way.  No other module reads or writes its keys.
+
+
+class CampaignFormatError(ValueError):
+    """A campaign document that does not hold what campaign_to_dict writes."""
+
+
+_NUMBER = (int, float)
+_DIGEST = (str, type(None))
+
+
+def _checked(doc, where: str, **want) -> dict:
+    """The `want` keys of doc, each checked to be of its JSON type; an Enum
+    type takes its value as a string.  Never a bool where a number is
+    wanted (Python's bool is an int), never a non-finite float (json.loads
+    accepts NaN)."""
+    if not isinstance(doc, dict):
+        raise CampaignFormatError(f"{where} must be an object")
+    out = {}
+    for key, kind in want.items():
+        if key not in doc:
+            raise CampaignFormatError(f"{where}: missing {key!r}")
+        value = doc[key]
+        plain = str if isinstance(kind, enum.EnumMeta) else kind
+        if isinstance(value, bool) or not isinstance(value, plain):
+            names = " or ".join(t.__name__ for t in (kind if isinstance(kind, tuple) else (kind,)))
+            raise CampaignFormatError(f"{where}: {key} must be {names}, got {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CampaignFormatError(f"{where}: {key} must be finite, got {value!r}")
+        try:
+            out[key] = value if plain is kind else kind(value)
+        except ValueError:
+            names = ", ".join(m.value for m in kind)
+            raise CampaignFormatError(f"{where}: {key} {value!r} is not one of {names}") from None
+    return out
 
 
 def _epoch_to_dict(e: EpochStats) -> dict:
@@ -360,6 +397,14 @@ def _epoch_to_dict(e: EpochStats) -> dict:
     }
 
 
+def _epoch_from_dict(d, where: str) -> EpochStats:
+    v = _checked(d, where, epoch=int, samples=int, wall_seconds=_NUMBER, throughput=_NUMBER,
+                 bytes_read=int, bytes_written=int, opens=int, read_seconds=_NUMBER,
+                 cache=CacheOutcome, multiset_digest=_DIGEST, sequence_digest=_DIGEST)
+    io = IoSnapshot(*(v.pop(k) for k in ("bytes_read", "bytes_written", "opens", "read_seconds")))
+    return EpochStats(io=io, **v)
+
+
 def _strategy_to_dict(s: Strategy) -> dict:
     return {
         "split_index": s.split_index,
@@ -369,6 +414,15 @@ def _strategy_to_dict(s: Strategy) -> dict:
         "cache_mode": s.cache_mode.value,
         "shuffle_buffer": s.shuffle_buffer,
     }
+
+
+def _strategy_from_dict(d, where: str) -> Strategy:
+    v = _checked(d, where, split_index=int, compression=Compression, shards=int,
+                 parallelism=int, cache_mode=CacheMode, shuffle_buffer=int)
+    try:
+        return Strategy(**v)
+    except ValueError as exc:
+        raise CampaignFormatError(f"{where}: {exc}") from None
 
 
 def record_to_dict(r: ProfileRecord) -> dict:
@@ -386,12 +440,37 @@ def record_to_dict(r: ProfileRecord) -> dict:
     }
 
 
+def record_from_dict(d, where: str = "campaign record") -> ProfileRecord:
+    v = _checked(d, where, strategy_id=str, label=str, strategy=dict, sample_count=int,
+                 preprocessing_seconds=_NUMBER, storage_bytes=int, predicted_storage_bytes=int,
+                 throughput_sps=_NUMBER, throughput_std=_NUMBER, repeats=list)
+    if not all(isinstance(eps, list) for eps in v["repeats"]):
+        raise CampaignFormatError(f"{where}: repeats must be a list of epoch lists")
+    v["strategy"] = _strategy_from_dict(v["strategy"], f"{where}.strategy")
+    v["repeats"] = tuple(
+        tuple(_epoch_from_dict(ep, f"{where}.repeats[{r}][{e}]") for e, ep in enumerate(eps))
+        for r, eps in enumerate(v["repeats"])
+    )
+    return ProfileRecord(**v)
+
+
 def campaign_to_dict(campaign: Campaign) -> dict:
     return {
         "metadata": campaign.metadata,
         "records": [record_to_dict(r) for r in campaign.records],
         "errors": [{"strategy_id": e.strategy_id, "error": e.error} for e in campaign.errors],
     }
+
+
+def campaign_from_dict(doc) -> Campaign:
+    """The campaign a campaign_to_dict document holds, with every value
+    checked; CampaignFormatError names the first bad one."""
+    records = _checked(doc, "campaign", records=list)["records"]
+    records = tuple(record_from_dict(r, f"campaign record {i}") for i, r in enumerate(records))
+    v = _checked(doc, "campaign", errors=list, metadata=dict)
+    errors = tuple(CampaignError(**_checked(e, f"campaign error {i}", strategy_id=str, error=str))
+                   for i, e in enumerate(v["errors"]))
+    return Campaign(records, errors, v["metadata"])
 
 
 def save_campaign(campaign: Campaign, path: str | Path) -> None:
@@ -413,6 +492,8 @@ def save_campaign(campaign: Campaign, path: str | Path) -> None:
         raise
 
 
-def load_campaign(path: str | Path) -> dict:
-    """Campaign document as plain dicts; ranking works off these directly."""
-    return json.loads(Path(path).read_text())
+def load_campaign(path: str | Path) -> Campaign:
+    """The campaign saved at `path`, typed and checked: raises
+    json.JSONDecodeError for a file that is not JSON and
+    CampaignFormatError for one that is not a campaign document."""
+    return campaign_from_dict(json.loads(Path(path).read_text()))

@@ -68,13 +68,14 @@ class BackendConfig:
     chunk: int = 65536  # accounting granule in bytes
 
     def __post_init__(self) -> None:
-        if self.kind is BackendKind.SIMULATED:
-            if self.bandwidth <= 0:
-                raise ValueError("bandwidth must be > 0")
-            if self.open_latency < 0:
-                raise ValueError("open_latency must be >= 0")
-            if self.iops_cap <= 0:
-                raise ValueError("iops_cap must be > 0")
+        # checked whatever the kind: a local store ignores these values, but
+        # a bad one is still a mistake in what was asked for
+        if not self.bandwidth > 0:
+            raise ValueError("bandwidth must be > 0")
+        if not self.open_latency >= 0:
+            raise ValueError("open_latency must be >= 0")
+        if not self.iops_cap > 0:
+            raise ValueError("iops_cap must be > 0")
         if self.chunk < 1:
             raise ValueError("chunk must be >= 1")
 

@@ -8,6 +8,7 @@ where real I/O or pure data integrity is under test.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -45,6 +46,7 @@ from presto.engine import (
 )
 from presto.profiler import (
     ProfileConfig,
+    ProfileRecord,
     materialize,
     profile_campaign,
     profile_strategy,
@@ -268,30 +270,29 @@ def test_02_functional_identity_across_strategies(tmp_path):
 # 3. ranking picks the expected winners on a fixed reference campaign
 
 
+def ranked_record(strategy_id: str, label: str, split_index: int, preprocessing_seconds,
+                  storage_bytes, throughput_sps) -> ProfileRecord:
+    """A profile record holding only what ranking reads."""
+    return ProfileRecord(
+        strategy_id=strategy_id,
+        label=label,
+        strategy=Strategy(split_index=split_index),
+        sample_count=0,
+        preprocessing_seconds=preprocessing_seconds,
+        storage_bytes=storage_bytes,
+        predicted_storage_bytes=storage_bytes,
+        throughput_sps=throughput_sps,
+        throughput_std=0.0,
+        repeats=(),
+    )
+
+
 def test_03_ranking_reference_campaign():
     def table(prep_all: float, prep_resized: float):
         return [
-            {
-                "strategy_id": "m0", "label": "unprocessed",
-                "strategy": {"split_index": 0},
-                "preprocessing_seconds": 0.0,
-                "storage_bytes": 146_000_000_000,
-                "throughput_sps": 107.0,
-            },
-            {
-                "strategy_id": "m4", "label": "pixel-centered",
-                "strategy": {"split_index": 4},
-                "preprocessing_seconds": prep_all,
-                "storage_bytes": 1_535_000_000_000,
-                "throughput_sps": 576.0,
-            },
-            {
-                "strategy_id": "m3", "label": "resized",
-                "strategy": {"split_index": 3},
-                "preprocessing_seconds": prep_resized,
-                "storage_bytes": 494_000_000_000,
-                "throughput_sps": 1789.0,
-            },
+            ranked_record("m0", "unprocessed", 0, 0.0, 146_000_000_000, 107.0),
+            ranked_record("m4", "pixel-centered", 4, prep_all, 1_535_000_000_000, 576.0),
+            ranked_record("m3", "resized", 3, prep_resized, 494_000_000_000, 1789.0),
         ]
 
     checked = 0
@@ -324,14 +325,14 @@ def test_04_ranking_affine_invariance():
     for _ in range(trials):
         n = rng.randrange(2, 9)
         recs = [
-            {
-                "strategy_id": f"s{j}",
-                "label": f"s{j}",
-                "strategy": {"split_index": rng.randrange(0, 5)},
-                "preprocessing_seconds": float(rng.randrange(0, 40)),
-                "storage_bytes": rng.randrange(1, 50) * 1_000,
-                "throughput_sps": float(rng.randrange(1, 30)),
-            }
+            ranked_record(
+                f"s{j}",
+                f"s{j}",
+                rng.randrange(0, 5),
+                float(rng.randrange(0, 40)),
+                rng.randrange(1, 50) * 1_000,
+                float(rng.randrange(1, 30)),
+            )
             for j in range(n)
         ]
         w = ObjectiveWeights(
@@ -343,11 +344,11 @@ def test_04_ranking_affine_invariance():
         as_, bs = rng.uniform(0.05, 25.0), rng.uniform(0.0, 500.0)
         at, bt = rng.uniform(0.05, 25.0), rng.uniform(0.0, 500.0)
         moved = [
-            dict(
+            dataclasses.replace(
                 r,
-                preprocessing_seconds=ap * r["preprocessing_seconds"] + bp,
-                storage_bytes=as_ * r["storage_bytes"] + bs,
-                throughput_sps=at * r["throughput_sps"] + bt,
+                preprocessing_seconds=ap * r.preprocessing_seconds + bp,
+                storage_bytes=as_ * r.storage_bytes + bs,
+                throughput_sps=at * r.throughput_sps + bt,
             )
             for r in recs
         ]

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,18 +22,25 @@ from presto.analysis import (
     speedup,
     theoretical_max_throughput,
 )
-from presto.core import ObjectiveWeights
+from presto.core import ObjectiveWeights, Strategy
+from presto.engine import CacheOutcome, EpochStats
+from presto.profiler import Campaign, ProfileRecord
+from presto.storage import IoSnapshot
 
 
-def rec(strategy_id, label, split, p, s, t):
-    return {
-        "strategy_id": strategy_id,
-        "label": label,
-        "strategy": {"split_index": split},
-        "preprocessing_seconds": p,
-        "storage_bytes": s,
-        "throughput_sps": t,
-    }
+def rec(strategy_id, label, split, p, s, t, repeats=()):
+    return ProfileRecord(
+        strategy_id=strategy_id,
+        label=label,
+        strategy=Strategy(split_index=split),
+        sample_count=100,
+        preprocessing_seconds=p,
+        storage_bytes=s,
+        predicted_storage_bytes=s,
+        throughput_sps=t,
+        throughput_std=0.0,
+        repeats=repeats,
+    )
 
 
 # Measured anchors for one modeled image pipeline: the raw layout, the fully
@@ -103,10 +109,10 @@ def test_mixed_weights_match_longhand_arithmetic():
     ranking = score_and_rank(ANCHORS, w)
     # normalize by hand: spans over p [0, 3600], s [146e9, 1535e9], t [107, 1789]
     for entry, r in zip(sorted(ranking.entries, key=lambda e: e.strategy_id),
-                        sorted(ANCHORS, key=lambda r: r["strategy_id"])):
-        p = (r["preprocessing_seconds"] - 0.0) / 3600.0
-        s = (r["storage_bytes"] - 146e9) / (1535e9 - 146e9)
-        t = (r["throughput_sps"] - 107.0) / (1789.0 - 107.0)
+                        sorted(ANCHORS, key=lambda r: r.strategy_id)):
+        p = (r.preprocessing_seconds - 0.0) / 3600.0
+        s = (r.storage_bytes - 146e9) / (1535e9 - 146e9)
+        t = (r.throughput_sps - 107.0) / (1789.0 - 107.0)
         assert entry.score == pytest.approx(0.2 * p + 0.3 * s + 0.5 * (1 - t))
         assert entry.norm_preprocessing == pytest.approx(p)
         assert entry.norm_storage == pytest.approx(s)
@@ -162,27 +168,9 @@ def test_throughput_only_ranking_sorts_by_throughput(throughputs):
     assert got == sorted(got, reverse=True)
 
 
-def test_object_and_dict_records_rank_identically():
-    objects = [
-        SimpleNamespace(
-            strategy_id=r["strategy_id"],
-            label=r["label"],
-            strategy=SimpleNamespace(split_index=r["strategy"]["split_index"]),
-            preprocessing_seconds=r["preprocessing_seconds"],
-            storage_bytes=r["storage_bytes"],
-            throughput_sps=r["throughput_sps"],
-        )
-        for r in ANCHORS
-    ]
-    a = score_and_rank(objects, ObjectiveWeights(0.3, 0.3, 0.4))
-    b = score_and_rank(ANCHORS, ObjectiveWeights(0.3, 0.3, 0.4))
-    assert [e.strategy_id for e in a.entries] == [e.strategy_id for e in b.entries]
-    assert [e.score for e in a.entries] == [e.score for e in b.entries]
-
-
 def test_ranking_lookup_helpers():
     ranking = score_and_rank(ANCHORS)
-    assert ranking.by_id(ANCHORS[0]["strategy_id"]).label == "unprocessed"
+    assert ranking.by_id(ANCHORS[0].strategy_id).label == "unprocessed"
     with pytest.raises(KeyError):
         ranking.by_id("m9-none-s1-p1-no_cache-b0")
     assert ranking.chosen is ranking.entries[0]
@@ -221,49 +209,29 @@ def test_bottleneck_classification_thresholds():
 def full_doc(n_strategies=5, repeats=5, epochs=2):
     records = []
     for i in range(n_strategies):
-        reps = []
-        for r in range(repeats):
-            eps = []
-            for e in range(epochs):
-                eps.append({
-                    "epoch": e + 1,
-                    "samples": 100,
-                    "wall_seconds": 1.0 + i * 0.1 + r * 0.01 + e * 0.001,
-                    "throughput": 1234.56789012345 + i * 17.3 + r * 1.7 + e * 0.13,
-                    "bytes_read": 1000 * (i + 1),
-                    "bytes_written": 0,
-                    "opens": 3,
-                    "read_seconds": 0.5,
-                    "cache": "disabled",
-                    "multiset_digest": None,
-                    "sequence_digest": None,
-                })
-            reps.append(eps)
-        records.append({
-            "strategy_id": f"m{i}-none-s1-p1-no_cache-b0",
-            "label": f"s{i}",
-            "strategy": {
-                "split_index": i,
-                "compression": "none",
-                "shards": 1,
-                "parallelism": 1,
-                "cache_mode": "no_cache",
-                "shuffle_buffer": 0,
-            },
-            "sample_count": 100,
-            "preprocessing_seconds": 0.987654321098765 * (i + 1),
-            "storage_bytes": 10_000 + 1000 * i,
-            "predicted_storage_bytes": 10_000 + 1000 * i,
-            "throughput_sps": 900.0 + i,
-            "throughput_std": 0.0,
-            "repeats": reps,
-        })
-    return {"metadata": {"version": "test"}, "records": records, "errors": []}
+        reps = tuple(
+            tuple(
+                EpochStats(
+                    epoch=e + 1,
+                    samples=100,
+                    wall_seconds=1.0 + i * 0.1 + r * 0.01 + e * 0.001,
+                    throughput=1234.56789012345 + i * 17.3 + r * 1.7 + e * 0.13,
+                    io=IoSnapshot(bytes_read=1000 * (i + 1), bytes_written=0, opens=3,
+                                  read_seconds=0.5),
+                    cache=CacheOutcome.DISABLED,
+                )
+                for e in range(epochs)
+            )
+            for r in range(repeats)
+        )
+        records.append(rec(f"m{i}-none-s1-p1-no_cache-b0", f"s{i}", i,
+                           0.987654321098765 * (i + 1), 10_000 + 1000 * i, 900.0 + i, reps))
+    return Campaign(records=tuple(records), errors=(), metadata={"version": "test"})
 
 
 def test_csv_report_shape_and_roundtrip(tmp_path):
     doc = full_doc()
-    ranking = score_and_rank(doc["records"])
+    ranking = score_and_rank(doc.records)
     out = tmp_path / "report.csv"
     rows = emit_report_csv(doc, ranking, out)
     assert rows == 5 * 5 * 2 == 50
@@ -273,24 +241,24 @@ def test_csv_report_shape_and_roundtrip(tmp_path):
     assert parsed[0] == CSV_COLUMNS
     assert len(parsed) == 51
     # float cells parse back to the exact measured values
-    for rec_doc in doc["records"]:
+    for rec_doc in doc.records:
         want_rows = [
-            row for row in parsed[1:] if row[0] == rec_doc["strategy_id"]
+            row for row in parsed[1:] if row[0] == rec_doc.strategy_id
         ]
         assert len(want_rows) == 10
         for row in want_rows:
             repeat, epoch = int(row[6]), int(row[5])
-            ep = rec_doc["repeats"][repeat - 1][epoch - 1]
-            assert float(row[9]) == ep["throughput"]
-            assert float(row[7]) == rec_doc["preprocessing_seconds"]
-            assert int(row[8]) == rec_doc["storage_bytes"]
-            assert int(row[10]) == ep["bytes_read"]
+            ep = rec_doc.repeats[repeat - 1][epoch - 1]
+            assert float(row[9]) == ep.throughput
+            assert float(row[7]) == rec_doc.preprocessing_seconds
+            assert int(row[8]) == rec_doc.storage_bytes
+            assert int(row[10]) == ep.io.bytes_read
     ranks = {row[0]: int(row[13]) for row in parsed[1:]}
     assert sorted(ranks.values()) == [1, 2, 3, 4, 5]
 
 
 def test_csv_report_empty_is_header_only(tmp_path):
-    doc = {"metadata": {}, "records": [], "errors": []}
+    doc = Campaign(records=(), errors=(), metadata={})
     ranking = StrategyRanking(weights=ObjectiveWeights(), entries=())
     out = tmp_path / "empty.csv"
     assert emit_report_csv(doc, ranking, out) == 0
@@ -301,7 +269,7 @@ def test_csv_report_empty_is_header_only(tmp_path):
 
 def test_json_report_structure(tmp_path):
     doc = full_doc(n_strategies=3, repeats=1, epochs=1)
-    ranking = score_and_rank(doc["records"], ObjectiveWeights(0, 0, 1))
+    ranking = score_and_rank(doc.records, ObjectiveWeights(0, 0, 1))
     out = tmp_path / "report.json"
     emit_report_json(doc, ranking, out)
     loaded = json.loads(out.read_text())

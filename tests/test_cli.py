@@ -14,7 +14,10 @@ from presto.cli import (
     parse_weights,
     validate_config,
 )
-from presto.profiler import load_campaign
+from presto.core import CacheMode, Compression, ObjectiveWeights, Strategy
+from presto.engine import CacheOutcome, EpochStats, RunConfig
+from presto.profiler import Campaign, ProfileRecord, campaign_to_dict, load_campaign
+from presto.storage import BackendConfig, BackendKind, IoSnapshot
 
 
 def good_config(tmp_path, **extra):
@@ -71,7 +74,20 @@ def test_validate_config_accepts_full_document(tmp_path):
         "out_dir": "y",
         "keep_artifacts": False,
     }
-    assert validate_config(doc)["preset"] == "cv"
+    setup = validate_config(doc)
+    assert setup.preset == "cv"
+    assert setup.pipeline.source.root == Path("x") and setup.pipeline.source.seed == 1
+    assert setup.backend == BackendConfig(BackendKind.SIMULATED, 1e8, 0.01, 1e4, 4096)
+    assert setup.grid.compressions == (Compression.NONE, Compression.GZIP)
+    assert setup.grid.cache_modes == (CacheMode.NO_CACHE, CacheMode.SAMPLE)
+    assert setup.grid.shards == (1, 8) and setup.grid.shuffle_buffers == (0, 16)
+    assert setup.splits == (0, 1)
+    assert setup.profile.run == RunConfig(epochs=2, sample_limit=10, memory_budget=1_000_000,
+                                          rng_seed=7, collect_digests=False)
+    assert (setup.profile.repeats, setup.profile.epoch_selector) == (3, "mean")
+    assert setup.profile.workdir == Path("y") / "work" and not setup.profile.keep_artifacts
+    assert setup.weights == ObjectiveWeights(0, 0.5, 0.5)
+    assert setup.out_dir == Path("y") and setup.generate
 
 
 @pytest.mark.parametrize(
@@ -117,10 +133,35 @@ def test_bad_config_rejected_before_any_writes(tmp_path, capsys):
     assert not (tmp_path / "never-out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--epochs", "0"],
+        ["profile", "--repeats", "0"],
+        ["probe", "--bandwidth", "-1"],
+        ["generate", "--preset", "cv", "--total-bytes", "0"],
+    ],
+    ids=["profile-epochs", "profile-repeats", "probe-bandwidth", "generate-total-bytes"],
+)
+def test_bad_flag_values_exit_config_before_any_writes(tmp_path, capsys, argv):
+    data, out = tmp_path / "ds", tmp_path / "out"
+    if argv[0] == "profile":
+        cfg_path, _ = good_config(tmp_path)
+        argv = [*argv, "--config", str(cfg_path)]
+    else:
+        argv = [*argv, "--root", str(data)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not data.exists() and not out.exists()
+
+
 def test_missing_and_malformed_config_files(tmp_path, capsys):
     assert main(["profile", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
+    assert main(["profile", "--config", str(bad)]) == EXIT_CONFIG
+    bad.write_bytes(b"\xff\xfe{}")
     assert main(["profile", "--config", str(bad)]) == EXIT_CONFIG
 
 
@@ -180,9 +221,9 @@ def test_profile_end_to_end(tmp_path, capsys):
     out = Path(doc["out_dir"])
     saved = load_campaign(out / "campaign.json")
     # audio pipeline is fully deterministic: splits 0..3, single-option grid
-    assert len(saved["records"]) == 4
-    assert saved["errors"] == []
-    assert saved["metadata"]["epochs"] == 1
+    assert len(saved.records) == 4
+    assert saved.errors == ()
+    assert saved.metadata["epochs"] == 1
     assert (out / "report.csv").exists()
     assert (out / "report.json").exists()
 
@@ -201,7 +242,7 @@ def test_profile_flag_overrides_config(tmp_path):
                "--weights", "0,1,0"])
     assert rc == EXIT_OK
     saved = load_campaign(Path(doc["out_dir"]) / "campaign.json")
-    assert saved["metadata"]["epochs"] == 2
+    assert saved.metadata["epochs"] == 2
     report = json.loads((Path(doc["out_dir"]) / "report.json").read_text())
     assert report["weights"] == {"preprocessing": 0.0, "storage": 1.0, "throughput": 0.0}
     # storage-only weights choose the smallest stored footprint
@@ -215,7 +256,7 @@ def test_profile_grid_splits_filter(tmp_path):
     rc = main(["profile", "--config", str(cfg_path)])
     assert rc == EXIT_OK
     saved = load_campaign(Path(doc["out_dir"]) / "campaign.json")
-    assert sorted(r["strategy"]["split_index"] for r in saved["records"]) == [0, 1]
+    assert sorted(r.strategy.split_index for r in saved.records) == [0, 1]
 
 
 def test_profile_runs_are_reproducible(tmp_path):
@@ -226,12 +267,12 @@ def test_profile_runs_are_reproducible(tmp_path):
 
     a = load_campaign(tmp_path / "out-a" / "campaign.json")
     b = load_campaign(tmp_path / "out-b" / "campaign.json")
-    assert a["metadata"]["config_digest"] == b["metadata"]["config_digest"]
-    for ra, rb in zip(a["records"], b["records"]):
-        assert ra["strategy_id"] == rb["strategy_id"]
-        assert ra["storage_bytes"] == rb["storage_bytes"]
-        da = [e["multiset_digest"] for eps in ra["repeats"] for e in eps]
-        db = [e["multiset_digest"] for eps in rb["repeats"] for e in eps]
+    assert a.metadata["config_digest"] == b.metadata["config_digest"]
+    for ra, rb in zip(a.records, b.records):
+        assert ra.strategy_id == rb.strategy_id
+        assert ra.storage_bytes == rb.storage_bytes
+        da = [e.multiset_digest for eps in ra.repeats for e in eps]
+        db = [e.multiset_digest for eps in rb.repeats for e in eps]
         assert da == db
 
 
@@ -250,8 +291,8 @@ def test_profile_partial_failure_exits_one(tmp_path, monkeypatch):
     rc = main(["profile", "--config", str(cfg_path)])
     assert rc == EXIT_CAMPAIGN
     saved = load_campaign(Path(doc["out_dir"]) / "campaign.json")
-    assert len(saved["records"]) == 3
-    assert len(saved["errors"]) == 1
+    assert len(saved.records) == 3
+    assert len(saved.errors) == 1
 
 
 def test_profile_interrupt_flushes_partial_campaign(tmp_path, monkeypatch):
@@ -271,8 +312,8 @@ def test_profile_interrupt_flushes_partial_campaign(tmp_path, monkeypatch):
     rc = main(["profile", "--config", str(cfg_path)])
     assert rc == EXIT_INTERRUPT
     saved = load_campaign(Path(doc["out_dir"]) / "campaign.json")
-    assert len(saved["records"]) == 2
-    assert saved["metadata"]["interrupted"] is True
+    assert len(saved.records) == 2
+    assert saved.metadata["interrupted"] is True
 
 
 # -------------------------------------------------------------- rank/report
@@ -298,18 +339,68 @@ def test_rank_prints_table_and_json(finished_campaign, tmp_path, capsys):
 
 def test_rank_missing_campaign(tmp_path):
     assert main(["rank", "--campaign", str(tmp_path / "none.json")]) == EXIT_CONFIG
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert main(["rank", "--campaign", str(binary)]) == EXIT_CONFIG
+
+
+def _campaign_doc() -> dict:
+    """A one-record campaign document, as save_campaign writes it."""
+    epoch = EpochStats(1, 5, 0.5, 10.0, IoSnapshot(4096, 0, 5, 0.1), CacheOutcome.DISABLED)
+    record = ProfileRecord("m0-none-s1-p1-no_cache-b0", "unprocessed", Strategy(0), 5,
+                           0.0, 4096, 4096, 10.0, 0.0, ((epoch,),))
+    return campaign_to_dict(Campaign((record,), (), {"version": "test"}))
+
+
+def _with(path: tuple, value) -> dict:
+    """_campaign_doc() with the value at `path` replaced (None: deleted)."""
+    doc = _campaign_doc()
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    if value is None:
+        del inner[path[-1]]
+    else:
+        inner[path[-1]] = value
+    return doc
+
+
+_RECORD = ("records", 0)
+_EPOCH = (*_RECORD, "repeats", 0, 0)
+
+
+# (name, campaign document, how its one stderr line starts)
+_BAD_CAMPAIGNS = [
+    ("thin", {"records": [{"strategy_id": "x"}]}, "error: campaign record 0"),
+    ("nan-throughput", _with((*_RECORD, "throughput_sps"), float("nan")),
+     "error: campaign record 0"),
+    ("bool-storage", _with((*_RECORD, "storage_bytes"), True), "error: campaign record 0"),
+    ("no-opens", _with((*_EPOCH, "opens"), None), "error: campaign record 0"),
+    ("bad-cache", _with((*_EPOCH, "cache"), "warm"), "error: campaign record 0"),
+    ("records-not-list", _with(("records",), {"0": {}}), "error: campaign"),
+    ("array-root", [_campaign_doc()], "error: campaign"),
+]
 
 
 @pytest.mark.parametrize("verb", ["rank", "report"])
 def test_incomplete_campaign_records_exit_config(tmp_path, capsys, verb):
     campaign = tmp_path / "thin.json"
-    campaign.write_text(json.dumps({"records": [{"strategy_id": "x"}]}))
     out_csv = tmp_path / "rep.csv"
+    out_json = tmp_path / "rep.json"
     extra = ["--csv", str(out_csv)] if verb == "report" else []
-    assert main([verb, "--campaign", str(campaign), *extra]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: campaign record 0") and err.count("\n") == 1
-    assert not out_csv.exists()
+    for name, doc, prefix in _BAD_CAMPAIGNS:
+        campaign.write_text(json.dumps(doc))
+        rc = main([verb, "--campaign", str(campaign), *extra, "--json", str(out_json)])
+        assert rc == EXIT_CONFIG, name
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, (name, err)
+        assert not out_csv.exists() and not out_json.exists(), name
+
+
+def test_well_formed_campaign_doc_ranks(tmp_path):
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps(_campaign_doc()))
+    assert main(["rank", "--campaign", str(campaign)]) == EXIT_OK
 
 
 def test_report_writes_csv_rows(finished_campaign, tmp_path, capsys):

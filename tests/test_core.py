@@ -267,6 +267,14 @@ def test_strategy_field_bounds():
         Strategy(split_index=0, shuffle_buffer=-1)
 
 
+@pytest.mark.parametrize("axes", [{"shards": (0,)}, {"parallelisms": (2, 0)},
+                                  {"shuffle_buffers": (-1,)}, {"shards": (1.5,)},
+                                  {"parallelisms": (True,)}])
+def test_option_grid_entry_bounds(axes):
+    with pytest.raises(ValueError):
+        OptionGrid(**axes)
+
+
 # ---------------------------------------------------------------- prediction
 
 def test_predict_storage_prefix_semantics():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from presto.core import (
+    CacheMode,
     Compression,
     OptionGrid,
     Pipeline,
@@ -16,7 +17,7 @@ from presto.core import (
     enumerate_strategies,
     predict_storage,
 )
-from presto.engine import RunConfig
+from presto.engine import CacheOutcome, RunConfig
 from presto.profiler import (
     AllStrategiesFailedError,
     Campaign,
@@ -255,11 +256,26 @@ def test_campaign_document_roundtrip(setup):
     campaign = profile_campaign(pipe, strategies, StorageBackend(), config(tmp))
     out = tmp / "out" / "campaign.json"
     save_campaign(campaign, out)
-    doc = load_campaign(out)
-    assert doc == campaign_to_dict(campaign)
-    rec = doc["records"][0]
-    assert rec["repeats"][0][0]["cache"] == "disabled"
-    assert rec["strategy"]["split_index"] == campaign.records[0].strategy.split_index
+    loaded = load_campaign(out)
+    assert loaded == campaign
+    assert campaign_to_dict(loaded) == campaign_to_dict(campaign)
+    rec = loaded.records[0]
+    assert rec.repeats[0][0].cache is CacheOutcome.DISABLED
+    assert rec.strategy.split_index == campaign.records[0].strategy.split_index
+
+
+def test_campaign_file_survives_save_load_save_byte_for_byte(setup):
+    desc, pipe, tmp = setup
+    grid = OptionGrid(parallelisms=(1, 2), cache_modes=(CacheMode.NO_CACHE, CacheMode.SAMPLE))
+    # one strategy per split, both parallelisms and cache modes, and one
+    # that fails, so the file holds an errors entry too
+    strategies = enumerate_strategies(pipe, grid)[::5] + [Strategy(split_index=9)]
+    campaign = profile_campaign(pipe, strategies, StorageBackend(), config(tmp, repeats=2))
+    assert len(campaign.records) == 4 and len(campaign.errors) == 1
+    first, second = tmp / "first.json", tmp / "second.json"
+    save_campaign(campaign, first)
+    save_campaign(load_campaign(first), second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_profile_config_validation(tmp_path):

@@ -186,6 +186,14 @@ def test_simulated_default_profile_shape():
     assert cfg.kind is BackendKind.SIMULATED
 
 
+@pytest.mark.parametrize("kind", list(BackendKind))
+@pytest.mark.parametrize("bad", [{"bandwidth": -1.0}, {"bandwidth": float("nan")},
+                                 {"open_latency": -0.1}, {"iops_cap": 0.0}, {"chunk": 0}])
+def test_backend_config_bounds_hold_for_every_kind(kind, bad):
+    with pytest.raises(ValueError):
+        BackendConfig(kind=kind, **bad)
+
+
 @pytest.mark.parametrize(
     "workers, bandwidth, iops_cap, chunk",
     [
