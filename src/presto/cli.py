@@ -45,7 +45,14 @@ from .profiler import (
     profile_campaign,
     save_campaign,
 )
-from .storage import BackendConfig, BackendKind, ProbeReport, StorageBackend, probe_storage
+from .storage import (
+    BackendConfig,
+    BackendKind,
+    ProbeReport,
+    StorageBackend,
+    check_probe_point,
+    probe_storage,
+)
 from .workloads import PRESET_NAMES, generate_for, preset, preset_info, source_paths
 
 EXIT_OK = 0
@@ -224,8 +231,11 @@ def cmd_generate(args) -> int:
         _, desc = preset(args.preset, root=root, total_bytes=args.total_bytes, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    generate_for(desc, args.compressibility if args.compressibility is not None
-                 else info.compressibility)
+    try:
+        generate_for(desc, args.compressibility if args.compressibility is not None
+                     else info.compressibility)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     manifest = {
         "preset": args.preset,
         "root": str(root),
@@ -251,19 +261,22 @@ def cmd_probe(args) -> int:
         "chunk": args.chunk,
     }))
     root = Path(args.root) if args.root else default_home() / "probe"
+    grid = [(w, f) for w in args.workers for f in args.files_per_worker]
+    try:
+        # every point, before the first one writes anything
+        for workers, files in grid:
+            check_probe_point(workers, files, args.bytes_per_worker)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     rows = []
-    for workers in args.workers:
-        for files in args.files_per_worker:
-            try:
-                report = probe_storage(backend, workers, files, args.bytes_per_worker, root)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            rows.append(report.to_row())
-            print(
-                f"workers={workers:3d} files={files:4d} "
-                f"bandwidth={report.bandwidth / 1e6:8.1f} MB/s "
-                f"iops={report.iops:10.0f}"
-            )
+    for workers, files in grid:
+        report = probe_storage(backend, workers, files, args.bytes_per_worker, root)
+        rows.append(report.to_row())
+        print(
+            f"workers={workers:3d} files={files:4d} "
+            f"bandwidth={report.bandwidth / 1e6:8.1f} MB/s "
+            f"iops={report.iops:10.0f}"
+        )
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)

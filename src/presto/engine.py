@@ -2,9 +2,14 @@
 
 One run = one strategy executed for a number of epochs against a backend.
 One reader thread per stream reads the stored form (raw sample files for
-split 0 of a many-small-files source, container shards otherwise) and hands
-the merger batches of records: everything framed from one read of a shard,
-or up to a batch of raw files.  Worker threads take single records from the
+split 0 of a many-small-files source, container shards otherwise) through
+the backend's read handles, each over a bare descriptor, and hands the
+merger full batches of records only: it puts a batch once it holds
+_batch_records() records (about what one 64 KiB read of a shard frames; a
+record of 64 KiB or more is a batch by itself) and puts the remainder when
+its stream ends.  It does not hand off early when its queue runs dry:
+the workers drain that queue first, so for raw files that would cost a
+thread round trip per file.  Worker threads take single records from the
 merger, deserialize them and apply the online step suffix; each worker's
 terminal sink counts and hashes what a training loop would have consumed.
 A shuffle buffer reorders what the loop sees, so at the end of an epoch it
@@ -386,13 +391,14 @@ def _shard_batches(
     backend: StorageBackend,
     path: Path,
     compression: Compression | None,
+    record_bytes: float,
     cache: _SerializedCache | None,
     stream_idx: int,
 ) -> Iterator[list[tuple[bytes, int]]]:
     """The records of one container shard, as framed per read."""
     with backend.open_read(path) as raw:
         fh = _Tee(raw) if cache is not None else raw
-        yield from iter_frames(fh, path, compression)
+        yield from iter_frames(fh, path, compression, record_bytes)
     if cache is not None:
         cache.add(stream_idx, b"".join(fh.parts))
 
@@ -507,7 +513,7 @@ def run_online(
             elif serving_ser and framed:
                 load = verify_and_decode
                 sources = [
-                    iter_frames(io.BytesIO(blobs[0]), "cache", compression)
+                    iter_frames(io.BytesIO(blobs[0]), "cache", compression, record_bytes)
                     for blobs in ser_cache.streams
                 ]
             elif serving_ser:
@@ -517,7 +523,7 @@ def run_online(
                 load = verify_and_decode
                 tee = ser_cache if populate_ser else None
                 sources = [
-                    _shard_batches(backend, path, compression, tee, idx)
+                    _shard_batches(backend, path, compression, record_bytes, tee, idx)
                     for idx, path in enumerate(shard_list)
                 ]
             else:
@@ -539,9 +545,7 @@ def run_online(
                             pending += batch
                         else:
                             pending = batch
-                        # hand off a full batch, or whatever is ready when
-                        # the merger may be waiting on this stream
-                        if len(pending) >= batch_records or q.empty():
+                        if len(pending) >= batch_records:
                             _put_until(q, pending, stop)
                             pending = []
                     if pending:

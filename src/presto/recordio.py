@@ -201,6 +201,9 @@ def write_container(
 
 
 _READ_SIZE = 1 << 16  # bytes per backend read while framing
+# a record still missing this many bytes is read exactly (see iter_frames);
+# exact reads lost to a join of the cut payload below about 40 KB
+_EXACT_READ = 1 << 17
 _FRAME_HEAD = struct.Struct("<QI")  # length, CRC of the length bytes
 
 
@@ -220,7 +223,7 @@ def _parse_header(head: bytes, label) -> Compression:
 
 
 def iter_frames(
-    fh, label, expected: Compression | None = None
+    fh, label, expected: Compression | None = None, record_bytes: float = 0
 ) -> Iterator[list[tuple[bytes, int]]]:
     """Frame one container file read from `fh`.
 
@@ -232,20 +235,29 @@ def iter_frames(
     accounted separately.
 
     Reads ask for `_READ_SIZE` bytes, plus the rest of a record that the
-    buffered bytes leave unfinished, so a long payload is read through in
-    one call and copied once.  In a plain stream every read but the last
-    two therefore moves at least `_READ_SIZE` bytes.
+    buffered bytes leave unfinished, so a payload is read through in one
+    call.  In a plain stream, a record that still misses `_EXACT_READ`
+    bytes or more is read differently: one read of exactly the rest of its
+    payload, then one 16-byte read of its CRC and the next frame head.
+    That payload is then the bytes the read returned, not a copy, unless
+    the buffer already held its start.  Every other read of a plain stream
+    but the last two moves at least `_READ_SIZE` bytes.
+
+    `record_bytes` is the caller's estimate of a record's stored size.  When
+    it is `_EXACT_READ` or more, the first read stops after the first frame
+    head instead, so the first payload is read exactly too and a shard of
+    one long record is read without a copy.
     """
-    first = fh.read(_READ_SIZE)
+    first = fh.read(HEADER_LEN + 12 if record_bytes >= _EXACT_READ else _READ_SIZE)
     stored = _parse_header(first[:HEADER_LEN], label)
     if expected is not None and stored is not expected:
         raise ContainerFormatError(
             f"{label}: header says {stored.value}, caller expected {expected.value}"
         )
     if stored is Compression.NONE:
-        yield from _frames(first, HEADER_LEN, fh.read, label)
+        yield from _frames(first, HEADER_LEN, fh.read, label, exact=True)
     else:
-        yield from _frames(b"", 0, _inflater(fh, stored, first[HEADER_LEN:]), label)
+        yield from _frames(b"", 0, _inflater(fh, stored, first[HEADER_LEN:]), label, exact=False)
 
 
 def _inflater(fh, compression: Compression, pending: bytes):
@@ -272,8 +284,10 @@ def _inflater(fh, compression: Compression, pending: bytes):
     return read
 
 
-def _frames(buf: bytes, pos: int, read, label) -> Iterator[list[tuple[bytes, int]]]:
-    """iter_frames' parser over read(n), starting at buf[pos:]."""
+def _frames(buf: bytes, pos: int, read, label, exact: bool) -> Iterator[list[tuple[bytes, int]]]:
+    """iter_frames' parser over read(n), starting at buf[pos:].  `exact`
+    allows exact reads of long payloads: read(n) must be sized in stream
+    bytes, which the inflater's reads (sized in compressed bytes) are not."""
     head = _FRAME_HEAD.unpack_from
     crc_at = _CRC_STRUCT.unpack_from
     crc32 = zlib.crc32
@@ -296,7 +310,19 @@ def _frames(buf: bytes, pos: int, read, label) -> Iterator[list[tuple[bytes, int
         have = end - pos
         # bytes still missing from a record whose checked length is buffered
         missing = head(buf, pos)[0] + RECORD_OVERHEAD - have if have >= 12 else 0
-        chunk = read(missing + _READ_SIZE)
+        if exact and missing >= _EXACT_READ:
+            # the rest of the payload, then its CRC and the next frame head
+            rest = read(missing - 4)
+            tail = read(4 + 12) if len(rest) == missing - 4 else b""
+            if len(tail) >= 4:
+                payload = rest if have == 12 else b"".join((memoryview(buf)[pos + 12 :], rest))
+                frames.append((payload, crc_at(tail)[0]))
+                base += end + len(rest)
+                buf, pos = tail, 4
+                continue
+            chunk = rest + tail  # not the sizes asked for: frame it as read
+        else:
+            chunk = read(missing + _READ_SIZE)
         if not chunk:
             if have:
                 raise TruncatedRecordError(f"{label}: stream ends inside a record")

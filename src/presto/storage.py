@@ -212,35 +212,14 @@ class Pacer:
 
 
 class _BackendFile:
-    """File-like handle that reports I/O to the owning backend."""
+    """File-like handle that reports I/O to the owning backend and, on a
+    simulated store, paces it."""
 
-    def __init__(self, backend: "StorageBackend", fh, mode: str) -> None:
+    def __init__(self, backend: "StorageBackend") -> None:
         self._backend = backend
-        self._fh = fh
-        self._mode = mode
         self._consumed = 0  # cumulative payload bytes for iops accounting
         self._ops_charged = 0
         self._first_request: float | None = None
-
-    def read(self, n: int = -1) -> bytes:
-        t0 = time.perf_counter()
-        try:
-            data = self._fh.read(n)
-        except OSError as exc:
-            raise _wrap_oserror(exc) from exc
-        self._charge(len(data), t0)
-        self._backend.counters.add_read(len(data), time.perf_counter() - t0)
-        return data
-
-    def write(self, data: bytes) -> int:
-        t0 = time.perf_counter()
-        try:
-            self._fh.write(data)
-        except OSError as exc:
-            raise _wrap_oserror(exc) from exc
-        self._charge(len(data), t0)
-        self._backend.counters.add_write(len(data))
-        return len(data)
 
     def _charge(self, nbytes: int, requested: float) -> None:
         """One reservation on the bandwidth and iops lanes, slept once."""
@@ -255,17 +234,81 @@ class _BackendFile:
         self._ops_charged = ops_needed
         pacer.wait(pacer.reserve(nbytes, ops, floor=self._first_request, at=requested))
 
-    def close(self) -> None:
-        try:
-            self._fh.close()
-        except OSError as exc:
-            raise _wrap_oserror(exc) from exc
-
     def __enter__(self) -> "_BackendFile":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class _ReadHandle(_BackendFile):
+    """Reads through a bare descriptor: one os.read per read(n), and a
+    whole-file read() sized by fstat, so no buffered file object is built
+    or copied through per open."""
+
+    _READ_ON = 1 << 16  # bytes per further read when a file outgrew its fstat size
+
+    def __init__(self, backend: "StorageBackend", fd: int) -> None:
+        super().__init__(backend)
+        self._fd = fd
+
+    def read(self, n: int = -1) -> bytes:
+        t0 = time.perf_counter()
+        try:
+            data = os.read(self._fd, n) if n >= 0 else self._read_all()
+        except OSError as exc:
+            raise _wrap_oserror(exc) from exc
+        self._charge(len(data), t0)
+        self._backend.counters.add_read(len(data), time.perf_counter() - t0)
+        return data
+
+    def _read_all(self) -> bytes:
+        # one byte past the size, so a read that comes back short is at the end
+        want = os.fstat(self._fd).st_size + 1
+        data = os.read(self._fd, want)
+        if len(data) < want:
+            return data
+        parts = [data]
+        while chunk := os.read(self._fd, self._READ_ON):
+            parts.append(chunk)
+        return b"".join(parts)
+
+    def close(self) -> None:
+        fd, self._fd = self._fd, -1
+        if fd >= 0:
+            try:
+                os.close(fd)
+            except OSError as exc:
+                raise _wrap_oserror(exc) from exc
+
+    def __del__(self) -> None:
+        # a handle dropped without close() must not leak its descriptor
+        if self._fd >= 0:
+            os.close(self._fd)
+
+
+class _WriteHandle(_BackendFile):
+    """Writes through a buffered file object."""
+
+    def __init__(self, backend: "StorageBackend", fh) -> None:
+        super().__init__(backend)
+        self._fh = fh
+
+    def write(self, data: bytes) -> int:
+        t0 = time.perf_counter()
+        try:
+            self._fh.write(data)
+        except OSError as exc:
+            raise _wrap_oserror(exc) from exc
+        self._charge(len(data), t0)
+        self._backend.counters.add_write(len(data))
+        return len(data)
+
+    def close(self) -> None:
+        try:
+            self._fh.close()
+        except OSError as exc:
+            raise _wrap_oserror(exc) from exc
 
 
 class StorageBackend:
@@ -282,15 +325,15 @@ class StorageBackend:
         if self.config.kind is BackendKind.SIMULATED:
             self.pacer = Pacer(self.config.bandwidth, self.config.iops_cap, burst=self.BURST)
 
-    def open_read(self, path: str | Path) -> _BackendFile:
+    def open_read(self, path: str | Path) -> _ReadHandle:
         self._charge_open()
         try:
-            fh = open(path, "rb")
+            fd = os.open(path, os.O_RDONLY)
         except OSError as exc:
             raise _wrap_oserror(exc) from exc
-        return _BackendFile(self, fh, "rb")
+        return _ReadHandle(self, fd)
 
-    def open_write(self, path: str | Path) -> _BackendFile:
+    def open_write(self, path: str | Path) -> _WriteHandle:
         self._charge_open()
         path = Path(path)
         try:
@@ -298,7 +341,7 @@ class StorageBackend:
             fh = open(path, "wb")
         except OSError as exc:
             raise _wrap_oserror(exc) from exc
-        return _BackendFile(self, fh, "wb")
+        return _WriteHandle(self, fh)
 
     def _charge_open(self) -> None:
         self.counters.add_open()
@@ -348,6 +391,14 @@ class ProbeReport:
         }
 
 
+def check_probe_point(workers: int, files_per_worker: int, total_bytes_per_worker: int) -> None:
+    """Raise ValueError unless probe_storage can run this grid point."""
+    if workers < 1 or files_per_worker < 1:
+        raise ValueError("workers and files_per_worker must be >= 1")
+    if total_bytes_per_worker < files_per_worker:
+        raise ValueError("need at least one byte per file")
+
+
 def probe_storage(
     backend: StorageBackend,
     workers: int,
@@ -358,10 +409,7 @@ def probe_storage(
 ) -> ProbeReport:
     """Write a file grid through the backend, read it back with one thread
     per worker, and report aggregate read bandwidth and opens/second."""
-    if workers < 1 or files_per_worker < 1:
-        raise ValueError("workers and files_per_worker must be >= 1")
-    if total_bytes_per_worker < files_per_worker:
-        raise ValueError("need at least one byte per file")
+    check_probe_point(workers, files_per_worker, total_bytes_per_worker)
     root = Path(root)
     file_bytes = total_bytes_per_worker // files_per_worker
     payload = os.urandom(min(file_bytes, 1 << 20))

@@ -10,6 +10,7 @@ ratios so predictions stay checkable arithmetic.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -70,7 +71,13 @@ def sample_file_path(root: Path, index: int) -> Path:
 def source_paths(descriptor: DatasetDescriptor) -> list[Path]:
     """On-store files backing a descriptor, in sample order."""
     if descriptor.layout is Layout.MANY_SMALL_FILES:
-        return [sample_file_path(descriptor.root, i) for i in range(descriptor.sample_count)]
+        # the same paths as sample_file_path, each built from one string
+        # rather than two Path joins
+        prefix = os.path.join(descriptor.root, "")
+        return [
+            Path(f"{prefix}d{i // FILES_PER_DIR:05d}/s{i:09d}.bin")
+            for i in range(descriptor.sample_count)
+        ]
     hits = sorted(Path(descriptor.root).glob("data-*-of-*.prc*"))
     if not hits:
         raise FileNotFoundError(f"no container shards under {descriptor.root}")
@@ -79,9 +86,9 @@ def source_paths(descriptor: DatasetDescriptor) -> list[Path]:
 
 def sample_bytes(descriptor: DatasetDescriptor, index: int, compressibility: float) -> bytes:
     """Deterministic payload for one sample: a zero-byte prefix sized by the
-    compressibility knob, then seeded random bytes."""
+    compressibility knob (a fraction in [0, 1]), then seeded random bytes."""
     n = descriptor.bytes_per_sample
-    n_zero = int(round(min(max(compressibility, 0.0), 1.0) * n))
+    n_zero = int(round(compressibility * n))
     rng = np.random.default_rng([descriptor.seed, index])
     tail = rng.integers(0, 256, n - n_zero, dtype=np.uint8).tobytes()
     return bytes(n_zero) + tail
@@ -108,6 +115,8 @@ def generate_synthetic(
     shards: int = DEFAULT_SOURCE_SHARDS,
 ) -> DatasetDescriptor:
     """Write a synthetic dataset and return its descriptor."""
+    if not 0.0 <= compressibility <= 1.0:
+        raise ValueError(f"compressibility must be in [0, 1], got {compressibility}")
     backend = backend or StorageBackend()
     bytes_per_sample = (bytes_per_sample // dtype.width) * dtype.width
     descriptor = DatasetDescriptor(

@@ -140,8 +140,13 @@ def test_bad_config_rejected_before_any_writes(tmp_path, capsys):
         ["profile", "--repeats", "0"],
         ["probe", "--bandwidth", "-1"],
         ["generate", "--preset", "cv", "--total-bytes", "0"],
+        ["probe", "--backend", "local", "--workers", "1", "0", "--files-per-worker", "2",
+         "--bytes-per-worker", "10000"],
+        ["generate", "--preset", "cv", "--compressibility", "5"],
+        ["generate", "--preset", "cv", "--compressibility", "-1"],
     ],
-    ids=["profile-epochs", "profile-repeats", "probe-bandwidth", "generate-total-bytes"],
+    ids=["profile-epochs", "profile-repeats", "probe-bandwidth", "generate-total-bytes",
+         "probe-grid-point", "generate-compressibility-5", "generate-compressibility-neg"],
 )
 def test_bad_flag_values_exit_config_before_any_writes(tmp_path, capsys, argv):
     data, out = tmp_path / "ds", tmp_path / "out"

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import os
 import random
 import sys
 import threading
@@ -388,6 +389,11 @@ def test_trace_log_lines(tmp_path):
 # ------------------------------------------------------------- reader handoff
 
 
+def open_fds():
+    """Descriptors this process holds (0 where /proc is not available)."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
 def run_in_thread(fn, timeout=30.0):
     """Run fn on its own thread; fail instead of hanging."""
     out = {}
@@ -415,12 +421,40 @@ def test_payload_crc_flip_mid_batch_raises(tmp_path, parallelism):
     raw[16 + 12 * record + 12 + 100] ^= 0x10  # inside the 13th of ~31 in the first read
     mat.paths[0].write_bytes(bytes(raw))
     before = threading.active_count()
+    fds = open_fds()
     out = run_in_thread(lambda: run(Strategy(split_index=1, parallelism=parallelism), pipe, mat))
     assert isinstance(out.get("error"), CrcMismatchError)
     deadline = time.monotonic() + 10
     while threading.active_count() > before and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() <= before, "engine threads left running"
+    assert open_fds() == fds, "shard descriptors left open"
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_split_zero_hands_off_full_batches_only(tmp_path, monkeypatch, parallelism):
+    desc = make_dataset(tmp_path, count=64, bps=4096)
+    pipe = det_pipeline(desc)
+    ref = oracle_outputs(pipe, desc, seed=0, epoch=1)
+    puts = {}
+    real_put = engine._put_until
+
+    def counting_put(q, item, stop):
+        puts.setdefault(id(q), []).append(len(item))
+        real_put(q, item, stop)
+
+    monkeypatch.setattr(engine, "_put_until", counting_put)
+    fds = open_fds()
+    (ep,) = run(Strategy(split_index=0, parallelism=parallelism), pipe)
+    assert open_fds() == fds, "sample file descriptors left open"
+    assert ep.samples == ep.io.opens == 64
+    assert ep.io.bytes_read == 64 * 4096
+    assert ep.multiset_digest == xor_digest(ref)
+    per_stream = 64 // parallelism
+    assert len(puts) == parallelism
+    for sizes in puts.values():
+        assert sum(sizes) == per_stream
+        assert len(sizes) <= -(-per_stream // engine._BATCH_RECORDS) + 1, sizes
 
 
 def test_many_workers_under_fast_switching_keep_counts_and_digests(tmp_path):

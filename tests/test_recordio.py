@@ -227,15 +227,17 @@ def test_header_compression_mismatch_rejected(tmp_path):
 
 
 class CountingReader:
-    """File-like over bytes that records the size of every read."""
+    """File-like over bytes that records every read and its size."""
 
     def __init__(self, data):
         self._fh = io.BytesIO(data)
         self.reads = []
+        self.chunks = []
 
     def read(self, n=-1):
         chunk = self._fh.read(n)
         self.reads.append(len(chunk))
+        self.chunks.append(chunk)
         return chunk
 
 
@@ -270,9 +272,40 @@ def test_plain_stream_reads_whole_buffers_or_straight_through(tmp_path):
     assert sum(fh.reads) == len(raw)
     assert fh.reads[-1] == 0
     # every read but the final short one and the end-of-file probe moves a
-    # full buffer or more, and the header comes with the first of them
-    assert all(n >= big for n in fh.reads[:-2])
-    assert len(fh.reads) <= -(-len(raw) // big) + 1
+    # full buffer or more, and the header comes with the first of them;
+    # the only exception is the 16-byte read of a CRC and the next frame
+    # head that follows the exact read of a long payload
+    small = [i for i, n in enumerate(fh.reads[:-2]) if n < big]
+    assert small
+    assert all(fh.reads[i] == 16 and fh.reads[i - 1] >= recordio._EXACT_READ - 4
+               for i in small)
+    assert len(fh.reads) <= -(-len(raw) // big) + 1 + len(small)
+
+
+def test_long_payloads_are_read_exactly_and_not_copied(tmp_path):
+    big = recordio._READ_SIZE
+    tensors = [u8(3 * big, 1), u8(4 * big + 1, 2), u8(2 * big, 3), u8(10, 4)]
+    stats = write_container(tensors, tmp_path / "long")
+    raw = stats.paths[0].read_bytes()
+    fh = CountingReader(raw)
+    batches = list(iter_frames(fh, "long"))
+    payloads = payloads_of(tensors)
+    assert [p for b in batches for p, _ in b] == payloads
+    assert [len(b) for b in batches] == [1, 1, 1, 1]
+    first_rest = len(payloads[0]) - (big - recordio.HEADER_LEN - 12)
+    lengths = [len(p) for p in payloads]
+    assert fh.reads[:7] == [big, first_rest, 16, lengths[1], 16, lengths[2], 16]
+    # a long payload whose start was not buffered is the very bytes read
+    # returned; the first one is joined to the start the first read held
+    for (payload, _), in batches[1:3]:
+        assert any(payload is chunk for chunk in fh.chunks)
+    # told that records are long, the first read stops at the first payload
+    fh = CountingReader(raw)
+    batches = list(iter_frames(fh, "long", record_bytes=len(raw) / 4))
+    assert [p for b in batches for p, _ in b] == payloads
+    assert fh.reads[:3] == [recordio.HEADER_LEN + 12, lengths[0], 16]
+    for (payload, _), in batches[:3]:
+        assert any(payload is chunk for chunk in fh.chunks)
 
 
 @pytest.mark.parametrize("tail", [0, 1])
@@ -316,15 +349,18 @@ def test_iter_frames_checks_header_once_against_expected(tmp_path):
 
 def test_length_crc_error_reports_stream_offset_past_a_long_record(tmp_path):
     big = recordio._READ_SIZE
-    tensors = [u8(2 * big + 3, 1), u8(40, 2), u8(40, 3)]
-    stats = write_container(tensors, tmp_path / "o")
-    raw = bytearray(stats.paths[0].read_bytes())
-    first = recordio.RECORD_OVERHEAD + 2 + 8 + 2 * big + 3
-    second = recordio.RECORD_OVERHEAD + 2 + 8 + 40
-    raw[recordio.HEADER_LEN + first + second] ^= 0x01  # length field of the third record
-    with pytest.raises(CrcMismatchError) as err:
-        list(iter_frames(io.BytesIO(bytes(raw)), "o"))
-    assert err.value.offset == first + second
+    # the shorter long record is joined from two reads; the longer one
+    # misses enough after the first read to be read exactly
+    for long_size in (2 * big + 3, 4 * big):
+        tensors = [u8(long_size, 1), u8(40, 2), u8(40, 3)]
+        stats = write_container(tensors, tmp_path / f"o{long_size}")
+        raw = bytearray(stats.paths[0].read_bytes())
+        first = recordio.RECORD_OVERHEAD + 2 + 8 + long_size
+        second = recordio.RECORD_OVERHEAD + 2 + 8 + 40
+        raw[recordio.HEADER_LEN + first + second] ^= 0x01  # length field of the third record
+        with pytest.raises(CrcMismatchError) as err:
+            list(iter_frames(io.BytesIO(bytes(raw)), "o"))
+        assert err.value.offset == first + second
 
 
 # ---------------------------------------------------------------- zero copy

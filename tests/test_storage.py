@@ -1,5 +1,7 @@
 """Backend tests: throttling laws, counters conservation, probe behavior."""
 
+import gc
+import os
 import time
 
 import pytest
@@ -71,6 +73,18 @@ def test_simulated_read_never_beats_bandwidth(tmp_path):
     assert total == len(payload)
     # write charged 0.2s too, but we time only the read: N / bandwidth
     assert elapsed >= len(payload) / 20_000_000.0
+
+
+def test_simulated_whole_file_read_pays_bandwidth_and_open_latency(tmp_path):
+    backend = simulated(bandwidth=20_000_000.0, open_latency=0.05)
+    p = tmp_path / "f.bin"
+    p.write_bytes(bytes(2_000_000))
+    t0 = time.monotonic()
+    with backend.open_read(p) as fh:
+        data = fh.read()
+    elapsed = time.monotonic() - t0
+    assert len(data) == 2_000_000
+    assert elapsed >= 0.05 + len(data) / 20_000_000.0
 
 
 def test_single_stream_ceiling_is_chunk_times_iops():
@@ -147,6 +161,68 @@ def test_local_backend_counts_but_does_not_throttle(tmp_path):
     assert snap.bytes_read == 3000
     assert snap.bytes_written == 3000
     assert snap.opens == 2
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("size", [0, 1, 4096, 200_001])
+def test_read_handle_gives_the_file_bytes_and_counts_them(tmp_path, size):
+    data = os.urandom(size)
+    p = tmp_path / "f.bin"
+    p.write_bytes(data)
+    backend = StorageBackend()
+    with backend.open_read(p) as fh:
+        whole = fh.read()
+        assert fh.read() == b"" and fh.read(10) == b""
+    with backend.open_read(p) as fh:
+        parts = []
+        while chunk := fh.read(65536):
+            parts.append(chunk)
+    with backend.open_read(p) as fh:
+        head, rest = fh.read(7), fh.read(-1)
+    assert whole == b"".join(parts) == head + rest == data
+    snap = backend.counters.snapshot()
+    assert snap.opens == 3
+    assert snap.bytes_read == 3 * size
+    assert snap.read_seconds > 0
+
+
+def test_whole_file_read_goes_on_past_a_stale_size(tmp_path, monkeypatch):
+    data = os.urandom(300_000)
+    p = tmp_path / "grown.bin"
+    p.write_bytes(data)
+    backend = StorageBackend()
+    with backend.open_read(p) as fh:
+        real_fstat = os.fstat
+        # as if the file grew between the size check and the read
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            real_fstat(fd)[:6] + (1000,) + real_fstat(fd)[7:]))
+        assert fh.read() == data
+    assert backend.counters.snapshot().bytes_read == len(data)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_read_handles_release_their_descriptors(tmp_path):
+    p = tmp_path / "f.bin"
+    p.write_bytes(b"x" * 100)
+    backend = StorageBackend()
+    before = open_fds()
+    fh = backend.open_read(p)
+    assert open_fds() == before + 1
+    fh.close()
+    fh.close()  # a second close is a no-op
+    assert open_fds() == before
+    dropped = backend.open_read(p)
+    dropped.read(1)
+    del dropped
+    gc.collect()
+    assert open_fds() == before
+    with pytest.raises(IoFailureError):
+        with backend.open_read(tmp_path) as fh:  # a directory opens, then fails to read
+            fh.read()
+    assert open_fds() == before
 
 
 def test_size_and_remove(tmp_path):

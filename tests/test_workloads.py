@@ -76,6 +76,20 @@ def test_directory_fanout_boundary():
     assert sample_file_path(root, 4096) == root / "d00001" / "s000004096.bin"
 
 
+@pytest.mark.parametrize("root", ["r", "/", "./r/", "/abs/root"])
+def test_source_paths_match_sample_file_path_across_directories(root):
+    d = DatasetDescriptor(layout=Layout.MANY_SMALL_FILES, sample_count=4100,
+                          bytes_per_sample=1, dtype=DType.U8, root=Path(root))
+    assert source_paths(d) == [sample_file_path(d.root, i) for i in range(4100)]
+
+
+@pytest.mark.parametrize("knob", [5.0, -1.0, float("nan")])
+def test_generate_rejects_compressibility_outside_unit_range(tmp_path, knob):
+    with pytest.raises(ValueError, match="compressibility"):
+        generate_synthetic(tmp_path / "ds", 4_000, 1_000, compressibility=knob)
+    assert not (tmp_path / "ds").exists()
+
+
 def test_generate_is_reproducible(tmp_path):
     a = generate_synthetic(tmp_path / "a", 20_000, 500, seed=11)
     b = generate_synthetic(tmp_path / "b", 20_000, 500, seed=11)
