@@ -1,20 +1,26 @@
 """Online execution engine.
 
 One run = one strategy executed for a number of epochs against a backend.
-One reader thread per stream reads the stored form (raw sample files for
-split 0 of a many-small-files source, container shards otherwise) through
-the backend's read handles, each over a bare descriptor, and hands the
-merger full batches of records only: it puts a batch once it holds
-_batch_records() records (about what one 64 KiB read of a shard frames; a
-record of 64 KiB or more is a batch by itself) and puts the remainder when
-its stream ends.  It does not hand off early when its queue runs dry:
-the workers drain that queue first, so for raw files that would cost a
-thread round trip per file.  Worker threads take single records from the
-merger, deserialize them and apply the online step suffix; each worker's
-terminal sink counts and hashes what a training loop would have consumed.
-A shuffle buffer reorders what the loop sees, so at the end of an epoch it
-is run over the delivered hashes, in the order they were delivered, to give
-the sequence digest.
+Every stored form goes through one stream source, _stream_batches: a
+stream is a list of paths, container shards (framed into records) or raw
+sample files (one record each), opened through the epoch's opener.  That
+is the backend's open_read; in the epoch that populates a serialized
+cache, a tee over it that hands the cache each file's bytes once the file
+was read without error; in the epochs that replay it, the cache, which
+opens a path as an in-memory file over its bytes.  A sample cache replays
+deserialized tensors instead, and is the only other source.
+
+One reader thread per stream hands the merger full batches of records
+only: it puts a batch once it holds _batch_records() records (about what
+one 64 KiB read of a shard frames; a record of 64 KiB or more is a batch
+by itself) and puts the remainder when its stream ends.  It does not hand
+off early when its queue runs dry: the workers drain that queue first, so
+for raw files that would cost a thread round trip per file.  Worker
+threads take single records from the merger, deserialize them and apply
+the online step suffix; each worker's terminal sink counts and hashes what
+a training loop would have consumed.  A shuffle buffer reorders what the
+loop sees, so at the end of an epoch it is run over the delivered hashes,
+in the order they were delivered, to give the sequence digest.
 
 Order contract: streams are built so that interleaving them round-robin by
 stream index reproduces the original sample order, matching how containers
@@ -26,6 +32,7 @@ is racy but the delivered multiset is unchanged, which the digests reflect.
 from __future__ import annotations
 
 import collections
+import contextlib
 import enum
 import hashlib
 import io
@@ -36,7 +43,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     CacheMode,
@@ -58,6 +65,7 @@ _QUEUE_DEPTH = 2  # per-stream prefetch ceiling, in batches
 _PREFETCH_BYTES = 16_000_000  # in-flight byte budget across all streams
 _BATCH_RECORDS = 16  # most records a reader gathers before a handoff
 _BATCH_BYTES = 1 << 16  # ... and most bytes, unless one record is larger
+_END = object()  # a reader's last item: its stream is done
 
 
 def _batch_records(record_bytes: float) -> int:
@@ -100,7 +108,6 @@ class RunConfig:
     memory_budget: int = 2_000_000_000  # bytes available to caches
     rng_seed: int = 0
     collect_digests: bool = False
-    trace_path: Path | None = None
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -208,15 +215,13 @@ class _Merger:
     """Round-robin merge of per-stream queues of record batches, restoring
     global order.
 
-    Readers put lists of (value, crc) records or an end sentinel; workers
+    Readers put lists of (value, crc) records, then _END; workers
     call next_item() for one (seq, value, crc) at a time.  Each stream's
     batches are unpacked into a local deque, so the merger waits on a
     stream's queue once per batch.  The seq of a stream's r-th record is
     r * n_streams + stream index.  A sample_limit makes next_item() report
     exhaustion early and flips the stop event so readers bail out.
     """
-
-    _END = object()
 
     def __init__(self, queues: Sequence[queue.Queue], limit: int | None, stop: threading.Event):
         self._queues = queues
@@ -246,7 +251,7 @@ class _Merger:
                     if not self._live[i]:
                         continue
                     got = self._queues[i].get()
-                    if got is self._END:
+                    if got is _END:
                         self._live[i] = False
                         self._live_count -= 1
                         continue
@@ -256,10 +261,6 @@ class _Merger:
                 self._records[i] = r + 1
                 self._taken += 1
                 return r * self._n + i, value, crc
-
-    @classmethod
-    def end_sentinel(cls):
-        return cls._END
 
 
 def _put_until(q: queue.Queue, item, stop: threading.Event) -> None:
@@ -272,35 +273,57 @@ def _put_until(q: queue.Queue, item, stop: threading.Event) -> None:
     raise _StopPipeline
 
 
-class _SerializedCache:
-    """Raw on-store bytes per stream.  Replays re-run header parsing,
-    decompression, framing and deserialization; only the backend reads are
-    skipped."""
+class _SerializedCache(dict):
+    """Raw on-store bytes by path, and an opener over them: open_read gives
+    an in-memory file per path, so a replay re-runs header parsing,
+    decompression, framing and deserialization; only the backend reads
+    are skipped."""
 
     def __init__(self, budget: int) -> None:
+        super().__init__()
         self.budget = budget
         self._lock = threading.Lock()
         self._used = 0
         self.overflowed = False
-        self.streams: list[list[bytes]] | None = None
 
-    def prepare(self, n_streams: int) -> None:
-        self.streams = [[] for _ in range(n_streams)]
-
-    def add(self, stream_idx: int, blob: bytes) -> None:
+    def add(self, path: Path, blob: bytes) -> None:
         with self._lock:
             if self.overflowed:
                 return
             self._used += len(blob)
             if self._used > self.budget:
                 self.overflowed = True
-                self.streams = None
+                self.clear()
                 return
-            self.streams[stream_idx].append(blob)
+            self[path] = blob
 
-    @property
-    def ready(self) -> bool:
-        return self.streams is not None and not self.overflowed
+    def open_read(self, path: Path) -> io.BytesIO:
+        return io.BytesIO(self[path])
+
+    def tee(self, open_read: Callable[[Path], object]) -> Callable[[Path], "_Tee"]:
+        """An opener over `open_read` whose handles populate this cache."""
+        return lambda path: _Tee(open_read(path), path, self)
+
+
+class _Tee(contextlib.AbstractContextManager):
+    """Read handle over `fh` that keeps every chunk it reads, and hands the
+    file's bytes to the cache if it is closed after a read without error."""
+
+    def __init__(self, fh, path: Path, cache: _SerializedCache) -> None:
+        self._fh = fh
+        self._path = path
+        self._cache = cache
+        self._parts: list[bytes] = []
+
+    def read(self, n: int = -1) -> bytes:
+        chunk = self._fh.read(n)
+        self._parts.append(chunk)
+        return chunk
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        self._fh.close()
+        if exc_type is None:
+            self._cache.add(self._path, b"".join(self._parts))
 
 
 class _SampleCache:
@@ -339,68 +362,29 @@ class _SampleCache:
         return out
 
 
-class _Trace:
-    def __init__(self, path: Path | None) -> None:
-        self._fh = open(path, "a", encoding="utf-8") if path else None
-        self._lock = threading.Lock()
-
-    def emit(self, epoch: int, worker: int, stage: str, start_ns: int, end_ns: int) -> None:
-        if self._fh is None:
-            return
-        with self._lock:
-            self._fh.write(f"{epoch}\t{worker}\t{stage}\t{start_ns}\t{end_ns}\n")
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-
-
 def _read_file_bytes(backend: StorageBackend, path: Path) -> bytes:
     with backend.open_read(path) as fh:
         return fh.read()
 
 
-def _file_batches(
-    backend: StorageBackend,
+def _stream_batches(
+    open_read: Callable[[Path], object],
     paths: Sequence[Path],
-    cache: _SerializedCache | None,
-    stream_idx: int,
-) -> Iterator[list[tuple[bytes, None]]]:
-    """One raw sample file per record."""
-    for path in paths:
-        blob = _read_file_bytes(backend, path)
-        if cache is not None:
-            cache.add(stream_idx, blob)
-        yield [(blob, None)]
-
-
-class _Tee:
-    """File-like over a backend handle that keeps every chunk it reads."""
-
-    def __init__(self, fh) -> None:
-        self._fh = fh
-        self.parts: list[bytes] = []
-
-    def read(self, n: int) -> bytes:
-        chunk = self._fh.read(n)
-        self.parts.append(chunk)
-        return chunk
-
-
-def _shard_batches(
-    backend: StorageBackend,
-    path: Path,
+    framed: bool,
     compression: Compression | None,
     record_bytes: float,
-    cache: _SerializedCache | None,
-    stream_idx: int,
-) -> Iterator[list[tuple[bytes, int]]]:
-    """The records of one container shard, as framed per read."""
-    with backend.open_read(path) as raw:
-        fh = _Tee(raw) if cache is not None else raw
-        yield from iter_frames(fh, path, compression, record_bytes)
-    if cache is not None:
-        cache.add(stream_idx, b"".join(fh.parts))
+) -> Iterator[list[tuple[bytes, int | None]]]:
+    """One stream's records, path by path: a container shard's as framed
+    per read, or a raw sample file's bytes as one record, read and closed
+    before it is handed on."""
+    for path in paths:
+        if framed:
+            with open_read(path) as fh:
+                yield from iter_frames(fh, path, compression, record_bytes)
+        else:
+            with open_read(path) as fh:
+                blob = fh.read()
+            yield [(blob, None)]
 
 
 def _mix_seed(seed: int, epoch: int, seq: int, step_idx: int) -> int:
@@ -427,22 +411,17 @@ def run_online(
     # materialized ones, or the source's own when it is stored packed
     framed = m >= 1 or source.layout is workloads.Layout.CONTAINERS
     if m >= 1:
-        shard_list = list(materialized.paths)
+        paths = list(materialized.paths)
         compression = materialized.compression
         record_bytes = materialized.bytes / max(materialized.sample_count, 1)
     else:
-        files = workloads.source_paths(source)
-        shard_list = files
+        paths = workloads.source_paths(source)
         compression = None  # whatever the source shards' headers say
         record_bytes = float(source.bytes_per_sample)
-    if framed:
-        n_streams = len(shard_list)
-    else:
-        if config.sample_limit is None:
-            total = len(files)
-        else:
-            total = min(len(files), config.sample_limit)
-        n_streams = min(strategy.parallelism, max(total, 1))
+    total = len(paths)
+    if not framed and config.sample_limit is not None:
+        total = min(total, config.sample_limit)
+    n_streams = total if framed else min(strategy.parallelism, max(total, 1))
     batch_records = _batch_records(record_bytes)
     depth = _queue_depth(batch_records * record_bytes, n_streams)
 
@@ -454,8 +433,6 @@ def run_online(
     if any(step.compute_cost > 0 for _, step, _, _ in online_steps):
         calibration_units_per_second()  # measured now, not inside the first epoch
     gate = threading.Lock()
-    trace = _Trace(config.trace_path)
-    tracing = config.trace_path is not None
     n_workers = strategy.parallelism
 
     ser_cache: _SerializedCache | None = None
@@ -477,207 +454,184 @@ def run_online(
         else:
             smp_cache = _SampleCache(config.memory_budget)
 
-    def verify_and_decode(value: bytes, crc: int) -> Tensor:
-        verify_payload(value, crc)
-        return decode_tensor(value)
+    if framed:
+        def load_stored(value: bytes, crc: int) -> Tensor:
+            verify_payload(value, crc)
+            return decode_tensor(value)
+    else:
+        source_dtype = source.dtype
 
-    source_dtype = source.dtype
-
-    def wrap_raw(value: bytes, crc: None) -> Tensor:
-        return Tensor(source_dtype, (len(value) // source_dtype.width,), value)
+        def load_stored(value: bytes, crc: None) -> Tensor:
+            return Tensor(source_dtype, (len(value) // source_dtype.width,), value)
 
     def as_is(value: Tensor, crc: None) -> Tensor:
         return value
 
     stats: list[EpochStats] = []
-    try:
-        for epoch in range(1, config.epochs + 1):
-            before = backend.counters.snapshot()
-            start = time.perf_counter()
+    for epoch in range(1, config.epochs + 1):
+        before = backend.counters.snapshot()
+        start = time.perf_counter()
 
-            serving_ser = ser_cache is not None and ser_cache.ready and epoch > 1
-            serving_smp = smp_cache is not None and smp_cache.ready and epoch > 1
-            populate_ser = ser_cache is not None and epoch == 1
-            populate_smp = smp_cache is not None and epoch == 1
-            if populate_ser:
-                ser_cache.prepare(n_streams)
+        serving_ser = ser_cache is not None and not ser_cache.overflowed and epoch > 1
+        serving_smp = smp_cache is not None and smp_cache.ready and epoch > 1
+        populate_ser = ser_cache is not None and epoch == 1
+        populate_smp = smp_cache is not None and epoch == 1
 
-            stop = threading.Event()
-            queues = [queue.Queue(maxsize=depth) for _ in range(n_streams)]
-            merger = _Merger(queues, config.sample_limit, stop)
-            errors: list[BaseException] = []
+        stop = threading.Event()
+        queues = [queue.Queue(maxsize=depth) for _ in range(n_streams)]
+        merger = _Merger(queues, config.sample_limit, stop)
+        errors: list[BaseException] = []
 
-            if serving_smp:
-                load = as_is
-                sources = [[batch] for batch in smp_cache.streams_for(n_streams)]
-            elif serving_ser and framed:
-                load = verify_and_decode
-                sources = [
-                    iter_frames(io.BytesIO(blobs[0]), "cache", compression, record_bytes)
-                    for blobs in ser_cache.streams
-                ]
-            elif serving_ser:
-                load = wrap_raw
-                sources = [[[(b, None) for b in blobs]] for blobs in ser_cache.streams]
-            elif framed:
-                load = verify_and_decode
-                tee = ser_cache if populate_ser else None
-                sources = [
-                    _shard_batches(backend, path, compression, record_bytes, tee, idx)
-                    for idx, path in enumerate(shard_list)
-                ]
+        if serving_smp:
+            load = as_is
+            sources = [[batch] for batch in smp_cache.streams_for(n_streams)]
+        else:
+            load = load_stored
+            if serving_ser:
+                open_read = ser_cache.open_read
+            elif populate_ser:
+                open_read = ser_cache.tee(backend.open_read)
             else:
-                load = wrap_raw
-                tee = ser_cache if populate_ser else None
-                sources = [
-                    _file_batches(backend, files[idx:total:n_streams], tee, idx)
-                    for idx in range(n_streams)
-                ]
-
-            def reader_main(idx: int, batches: Iterable[list]) -> None:
-                q = queues[idx]
-                try:
-                    pending: list = []
-                    for batch in batches:
-                        if stop.is_set():
-                            raise _StopPipeline
-                        if pending:
-                            pending += batch
-                        else:
-                            pending = batch
-                        if len(pending) >= batch_records:
-                            _put_until(q, pending, stop)
-                            pending = []
-                    if pending:
-                        _put_until(q, pending, stop)
-                except _StopPipeline:
-                    pass
-                except BaseException as exc:  # propagated after join
-                    errors.append(exc)
-                    stop.set()
-                finally:
-                    close = getattr(batches, "close", None)
-                    if close is not None:
-                        close()
-                    # the end marker must always land, even into a full queue
-                    # nobody is draining any more
-                    while True:
-                        try:
-                            q.put_nowait(_Merger.end_sentinel())
-                            return
-                        except queue.Full:
-                            if stop.is_set():
-                                try:
-                                    q.get_nowait()
-                                except queue.Empty:
-                                    pass
-                            else:
-                                time.sleep(0.005)
-
-            readers = [
-                threading.Thread(target=reader_main, args=(idx, src), daemon=True)
-                for idx, src in enumerate(sources)
-            ]
-            for t in readers:
-                t.start()
-
-            # each worker feeds its own accumulator, merged after join; only
-            # one worker's delivery order is reproducible
-            ordered = n_workers == 1
-            accs = [_Accumulator(config.collect_digests, ordered) for _ in range(n_workers)]
-
-            def worker_main(widx: int) -> None:
-                deliver = accs[widx]
-                next_item = merger.next_item
-                try:
-                    while True:
-                        item = next_item()
-                        if item is None:
-                            return
-                        seq, value, crc = item
-                        if tracing:
-                            t0 = time.perf_counter_ns()
-                        tensor = load(value, crc)
-                        if tracing:
-                            trace.emit(epoch, widx, "deserialize", t0, time.perf_counter_ns())
-                        if populate_smp:
-                            # cache the load product; transforms still run
-                            # every epoch so random steps stay per-epoch fresh
-                            smp_cache.add(seq, tensor)
-                        for step_idx, step, exclusive, deterministic in online_steps:
-                            rng = (
-                                None
-                                if deterministic
-                                else random.Random(
-                                    _mix_seed(config.rng_seed, epoch, seq, step_idx)
-                                )
-                            )
-                            if tracing:
-                                t1 = time.perf_counter_ns()
-                            if exclusive:
-                                with gate:
-                                    tensor = execute_step(step, tensor, rng=rng)
-                            else:
-                                tensor = execute_step(step, tensor, rng=rng)
-                            if tracing:
-                                trace.emit(epoch, widx, step.name, t1, time.perf_counter_ns())
-                        deliver(tensor)
-                except BaseException as exc:
-                    errors.append(exc)
-                    stop.set()
-                    # unblock peers waiting on queues
-                    for q in queues:
-                        try:
-                            q.put_nowait(_Merger.end_sentinel())
-                        except queue.Full:
-                            pass
-
-            workers = [
-                threading.Thread(target=worker_main, args=(w,), daemon=True)
-                for w in range(n_workers)
-            ]
-            for t in workers:
-                t.start()
-            for t in workers:
-                t.join()
-            for t in readers:
-                t.join()
-            if errors:
-                raise errors[0]
-            acc = accs[0]
-            for other in accs[1:]:
-                acc.merge(other)
-            sequence_digest = acc.sequence_digest(
-                strategy.shuffle_buffer,
-                random.Random(_mix_seed(config.rng_seed, epoch, -1, -1)),
-            )
-
-            wall = time.perf_counter() - start
-            outcome = CacheOutcome.DISABLED
-            if strategy.cache_mode is not CacheMode.NO_CACHE:
-                if serving_ser or serving_smp:
-                    outcome = CacheOutcome.SERVED
-                elif epoch == 1 and (populate_ser or populate_smp):
-                    active = ser_cache if ser_cache is not None else smp_cache
-                    if active is not None and active.overflowed:
-                        outcome = CacheOutcome.OVERFLOWED
-                        log.warning(
-                            "cache overflowed budget %d B while populating", config.memory_budget
-                        )
-                    elif active is not None and active.ready:
-                        outcome = CacheOutcome.POPULATED
-            stats.append(
-                EpochStats(
-                    epoch=epoch,
-                    samples=acc.count,
-                    wall_seconds=wall,
-                    throughput=acc.count / wall if wall > 0 else 0.0,
-                    io=backend.counters.snapshot().delta(before),
-                    cache=outcome,
-                    multiset_digest=acc.multiset_digest,
-                    sequence_digest=sequence_digest,
+                open_read = backend.open_read
+            sources = [
+                _stream_batches(
+                    open_read, paths[idx:total:n_streams], framed, compression, record_bytes
                 )
+                for idx in range(n_streams)
+            ]
+
+        def reader_main(idx: int, batches: Iterable[list]) -> None:
+            q = queues[idx]
+            try:
+                pending: list = []
+                for batch in batches:
+                    if stop.is_set():
+                        raise _StopPipeline
+                    if pending:
+                        pending += batch
+                    else:
+                        pending = batch
+                    if len(pending) >= batch_records:
+                        _put_until(q, pending, stop)
+                        pending = []
+                if pending:
+                    _put_until(q, pending, stop)
+            except _StopPipeline:
+                pass
+            except BaseException as exc:  # propagated after join
+                errors.append(exc)
+                stop.set()
+            finally:
+                close = getattr(batches, "close", None)
+                if close is not None:
+                    close()
+                # the end marker must always land, even into a full queue
+                # nobody is draining any more
+                while True:
+                    try:
+                        q.put_nowait(_END)
+                        return
+                    except queue.Full:
+                        if stop.is_set():
+                            try:
+                                q.get_nowait()
+                            except queue.Empty:
+                                pass
+                        else:
+                            time.sleep(0.005)
+
+        readers = [
+            threading.Thread(target=reader_main, args=(idx, src), daemon=True)
+            for idx, src in enumerate(sources)
+        ]
+        for t in readers:
+            t.start()
+
+        # each worker feeds its own accumulator, merged after join; only
+        # one worker's delivery order is reproducible
+        ordered = n_workers == 1
+        accs = [_Accumulator(config.collect_digests, ordered) for _ in range(n_workers)]
+
+        def worker_main(widx: int) -> None:
+            deliver = accs[widx]
+            next_item = merger.next_item
+            try:
+                while True:
+                    item = next_item()
+                    if item is None:
+                        return
+                    seq, value, crc = item
+                    tensor = load(value, crc)
+                    if populate_smp:
+                        # cache the load product; transforms still run
+                        # every epoch so random steps stay per-epoch fresh
+                        smp_cache.add(seq, tensor)
+                    for step_idx, step, exclusive, deterministic in online_steps:
+                        rng = (
+                            None
+                            if deterministic
+                            else random.Random(_mix_seed(config.rng_seed, epoch, seq, step_idx))
+                        )
+                        if exclusive:
+                            with gate:
+                                tensor = execute_step(step, tensor, rng=rng)
+                        else:
+                            tensor = execute_step(step, tensor, rng=rng)
+                    deliver(tensor)
+            except BaseException as exc:
+                errors.append(exc)
+                stop.set()
+                # unblock peers waiting on queues
+                for q in queues:
+                    try:
+                        q.put_nowait(_END)
+                    except queue.Full:
+                        pass
+
+        workers = [
+            threading.Thread(target=worker_main, args=(w,), daemon=True)
+            for w in range(n_workers)
+        ]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join()
+        for t in readers:
+            t.join()
+        if errors:
+            raise errors[0]
+        acc = accs[0]
+        for other in accs[1:]:
+            acc.merge(other)
+        sequence_digest = acc.sequence_digest(
+            strategy.shuffle_buffer,
+            random.Random(_mix_seed(config.rng_seed, epoch, -1, -1)),
+        )
+
+        wall = time.perf_counter() - start
+        outcome = CacheOutcome.DISABLED
+        if strategy.cache_mode is not CacheMode.NO_CACHE:
+            if serving_ser or serving_smp:
+                outcome = CacheOutcome.SERVED
+            elif populate_ser or populate_smp:
+                active = ser_cache if populate_ser else smp_cache
+                if active.overflowed:
+                    outcome = CacheOutcome.OVERFLOWED
+                    log.warning(
+                        "cache overflowed budget %d B while populating", config.memory_budget
+                    )
+                else:
+                    outcome = CacheOutcome.POPULATED
+        stats.append(
+            EpochStats(
+                epoch=epoch,
+                samples=acc.count,
+                wall_seconds=wall,
+                throughput=acc.count / wall if wall > 0 else 0.0,
+                io=backend.counters.snapshot().delta(before),
+                cache=outcome,
+                multiset_digest=acc.multiset_digest,
+                sequence_digest=sequence_digest,
             )
-    finally:
-        trace.close()
+        )
     return stats

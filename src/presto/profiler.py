@@ -55,6 +55,7 @@ from . import workloads
 log = logging.getLogger(__name__)
 
 EPOCH_SELECTORS = ("first", "last", "mean")
+CAMPAIGN_SCHEMA = 1  # layout of the campaign document; a missing one reads as 1
 
 
 class ProfileError(RuntimeError):
@@ -317,6 +318,7 @@ def profile_campaign(
             "; ".join(f"{e.strategy_id}: {e.error}" for e in errors[:5])
         )
     metadata = {
+        "schema": CAMPAIGN_SCHEMA,
         "version": __version__,
         "created_unix": time.time(),
         "config_digest": _config_digest(pipeline, strategies, config),
@@ -470,6 +472,11 @@ def campaign_from_dict(doc) -> Campaign:
     v = _checked(doc, "campaign", errors=list, metadata=dict)
     errors = tuple(CampaignError(**_checked(e, f"campaign error {i}", strategy_id=str, error=str))
                    for i, e in enumerate(v["errors"]))
+    schema = v["metadata"].get("schema", CAMPAIGN_SCHEMA)
+    if type(schema) is not int or schema != CAMPAIGN_SCHEMA:
+        raise CampaignFormatError(
+            f"campaign: schema {schema!r} is not {CAMPAIGN_SCHEMA}, the one this version reads"
+        )
     return Campaign(records, errors, v["metadata"])
 
 

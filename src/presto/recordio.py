@@ -180,21 +180,37 @@ def write_container(
     backend: StorageBackend | None = None,
     level: int = 6,
 ) -> WriteStats:
-    """Deal samples round-robin into shard files under `base`."""
+    """Deal samples round-robin into shard files under `base`.  If the
+    samples or a write raise, the shard files opened so far are closed and
+    removed before the exception propagates."""
     if shards < 1:
         raise ValueError("shards must be >= 1")
     backend = backend or StorageBackend()
     paths = shard_paths(base, shards, compression)
     start = time.perf_counter()
-    sinks = [_Sink(backend.open_write(p), compression, level) for p in paths]
+    handles = []
     count = 0
     try:
+        for p in paths:
+            handles.append(backend.open_write(p))
+        sinks = [_Sink(fh, compression, level) for fh in handles]
         for i, tensor in enumerate(samples):
             sinks[i % shards].write_record(encode_tensor(tensor))
             count = i + 1
-    finally:
         for sink in sinks:
             sink.close()
+    except BaseException:
+        # best effort: the error that stopped the write is the one raised
+        for fh, p in zip(handles, paths):
+            try:
+                fh.close()  # a second close does nothing
+            except OSError:
+                pass
+            try:
+                backend.remove(p)
+            except OSError:
+                pass
+        raise
     seconds = time.perf_counter() - start
     total = sum(backend.size(p) for p in paths)
     return WriteStats(bytes_written=total, seconds=seconds, samples=count, paths=tuple(paths))

@@ -384,6 +384,9 @@ _BAD_CAMPAIGNS = [
     ("bad-cache", _with((*_EPOCH, "cache"), "warm"), "error: campaign record 0"),
     ("records-not-list", _with(("records",), {"0": {}}), "error: campaign"),
     ("array-root", [_campaign_doc()], "error: campaign"),
+    ("future-schema", _with(("metadata", "schema"), 2), "error: campaign: schema 2"),
+    ("string-schema", _with(("metadata", "schema"), "1"), "error: campaign: schema '1'"),
+    ("bool-schema", _with(("metadata", "schema"), True), "error: campaign: schema True"),
 ]
 
 
@@ -404,7 +407,12 @@ def test_incomplete_campaign_records_exit_config(tmp_path, capsys, verb):
 
 def test_well_formed_campaign_doc_ranks(tmp_path):
     campaign = tmp_path / "campaign.json"
-    campaign.write_text(json.dumps(_campaign_doc()))
+    doc = _campaign_doc()
+    assert "schema" not in doc["metadata"]  # a file from before the key reads as schema 1
+    campaign.write_text(json.dumps(doc))
+    assert main(["rank", "--campaign", str(campaign)]) == EXIT_OK
+    doc["metadata"]["schema"] = 1
+    campaign.write_text(json.dumps(doc))
     assert main(["rank", "--campaign", str(campaign)]) == EXIT_OK
 
 

@@ -273,6 +273,7 @@ def test_sample_cache_serves_second_epoch_without_reads(tmp_path):
     assert eps[1].io.bytes_read == 0
     assert eps[1].io.opens == 0
     assert eps[0].multiset_digest == eps[1].multiset_digest
+    assert eps[0].sequence_digest == eps[1].sequence_digest  # one worker: same order
 
 
 def test_serialized_cache_replays_compressed_bytes(tmp_path):
@@ -282,6 +283,23 @@ def test_serialized_cache_replays_compressed_bytes(tmp_path):
     assert eps[1].io.bytes_read == 0
     assert eps[1].io.opens == 0
     assert eps[0].sequence_digest == eps[1].sequence_digest
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_serialized_cache_replays_raw_sample_files(tmp_path, parallelism):
+    desc = make_dataset(tmp_path)
+    pipe = det_pipeline(desc)
+    ref = oracle_outputs(pipe, desc, seed=0, epoch=1)
+    st = Strategy(split_index=0, parallelism=parallelism, cache_mode=CacheMode.SERIALIZED)
+    eps = run(st, pipe, epochs=2)
+    assert [e.cache for e in eps] == [CacheOutcome.POPULATED, CacheOutcome.SERVED]
+    assert eps[0].io.opens == desc.sample_count
+    assert eps[1].io.opens == 0
+    assert eps[1].io.bytes_read == 0
+    assert eps[1].samples == desc.sample_count
+    assert eps[1].multiset_digest == xor_digest(ref)
+    if parallelism == 1:
+        assert eps[0].sequence_digest == eps[1].sequence_digest == seq_digest(ref)
 
 
 def test_no_cache_reads_every_epoch(tmp_path):
@@ -351,7 +369,7 @@ def test_exclusive_steps_serialize_across_workers(tmp_path):
     assert walls[ExecMode.PARALLEL] <= 0.6 * walls[ExecMode.EXCLUSIVE]
 
 
-# -------------------------------------------------------------- shuffle + trace
+# ---------------------------------------------------------- shuffle in the engine
 
 
 def test_engine_shuffle_reproducible_and_conservative(tmp_path):
@@ -368,22 +386,6 @@ def test_engine_shuffle_reproducible_and_conservative(tmp_path):
     assert a.sequence_digest != c.sequence_digest
     assert a.sequence_digest != plain.sequence_digest
     assert a.multiset_digest == plain.multiset_digest
-
-
-def test_trace_log_lines(tmp_path):
-    desc = make_dataset(tmp_path, count=4)
-    pipe = det_pipeline(desc)
-    trace = tmp_path / "trace.tsv"
-    run(Strategy(split_index=0), pipe, trace_path=trace, collect_digests=False)
-    lines = trace.read_text().strip().splitlines()
-    stages = set()
-    for line in lines:
-        epoch, worker, stage, start_ns, end_ns = line.split("\t")
-        assert int(end_ns) >= int(start_ns)
-        assert int(epoch) == 1
-        stages.add(stage)
-    assert stages == {"deserialize", "double", "widened"}
-    assert len(lines) == 4 * 3
 
 
 # ------------------------------------------------------------- reader handoff

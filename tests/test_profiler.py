@@ -188,6 +188,7 @@ def test_campaign_full_grid(setup):
     assert len(campaign.records) == 7
     assert campaign.errors == ()
     meta = campaign.metadata
+    assert meta["schema"] == 1
     assert meta["backend"]["kind"] == "local"
     assert meta["calibration_units_per_second"] > 1e6
     assert len(meta["config_digest"]) == 64
@@ -234,6 +235,29 @@ def test_campaign_survives_single_strategy_failure(setup, monkeypatch):
     assert campaign.errors[0].strategy_id.startswith("m2-")
     assert "synthetic fault" in campaign.errors[0].error
     assert {r.strategy.split_index for r in campaign.records} == {0, 1, 3}
+
+
+def test_failed_materialize_leaves_no_partial_shards(setup, monkeypatch):
+    desc, pipe, tmp = setup
+    import presto.profiler as prof
+
+    real = prof.execute_step
+    calls = 0
+
+    def fails_at_sample_8(step, tensor, **kw):
+        nonlocal calls
+        calls += 1
+        if calls == 8:
+            raise RuntimeError("prefix step failed")
+        return real(step, tensor, **kw)
+
+    monkeypatch.setattr(prof, "execute_step", fails_at_sample_8)
+    strategies = [Strategy(split_index=0), Strategy(split_index=2, shards=2)]
+    campaign = profile_campaign(pipe, strategies, StorageBackend(),
+                                config(tmp, collect_digests=False))
+    assert [e.strategy_id for e in campaign.errors] == [strategies[1].id]
+    assert "prefix step failed" in campaign.errors[0].error
+    assert list((tmp / "work").glob("mat-*")) == []
 
 
 def test_campaign_raises_when_everything_fails(setup, monkeypatch):

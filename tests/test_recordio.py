@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from presto import recordio
 from presto.core import Compression, DType, Tensor
+from presto.storage import StorageBackend, StorageFullError
 from presto.recordio import (
     BadMagicError,
     ContainerFormatError,
@@ -200,6 +201,46 @@ def test_truncation_detected_at_every_cut(tmp_path):
 def test_missing_file_raises_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         list(read_container([tmp_path / "nope.prc"]))
+
+
+class FullAfter(StorageBackend):
+    """Local backend whose writes fail, as on a full disk, after `writes`."""
+
+    def __init__(self, writes):
+        super().__init__()
+        self.writes = writes
+
+    def open_write(self, path):
+        fh = super().open_write(path)
+        real = fh.write
+
+        def write(data):
+            self.writes -= 1
+            if self.writes < 0:
+                raise StorageFullError("no space left on device")
+            return real(data)
+
+        fh.write = write
+        return fh
+
+
+@pytest.mark.parametrize("compression", ALL_COMPRESSIONS)
+def test_failed_write_removes_its_shard_files(tmp_path, compression):
+    def samples(fail_at=None):
+        for i in range(10):
+            if i == fail_at:
+                raise RuntimeError("sample stream failed")
+            yield Tensor(DType.U8, (64,), bytes([i]) * 64)
+
+    with pytest.raises(RuntimeError, match="sample stream failed"):
+        write_container(samples(fail_at=7), tmp_path / "a", compression, shards=2)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(StorageFullError):
+        write_container(samples(), tmp_path / "b", compression, shards=2,
+                        backend=FullAfter(writes=4))
+    assert list(tmp_path.iterdir()) == []
+    stats = write_container(samples(), tmp_path / "c", compression, shards=2)
+    assert [p.name for p in sorted(tmp_path.iterdir())] == [p.name for p in stats.paths]
 
 
 # ---------------------------------------------------------------- naming
